@@ -7,6 +7,7 @@
 #   BUILD_DIR=ci-build ./scripts/ci.sh
 #   TSAN=0 ./scripts/ci.sh       # skip the ThreadSanitizer stage
 #   UBSAN=0 ./scripts/ci.sh      # skip the UBSan kernels-equivalence stage
+#   ASAN=0 ./scripts/ci.sh       # skip the whole-suite ASan+UBSan stage
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -260,6 +261,21 @@ if [ "${UBSAN:-1}" != "0" ]; then
   MACH_SWEEP_FUZZ_ITERS=1500 "$UBSAN_DIR/tests/test_sweep"
 fi
 
+if [ "${ASAN:-1}" != "0" ]; then
+  # Memory errors and undefined behaviour over the whole tier-1 suite: a
+  # separate ASan+UBSan build running every ctest test. The engine's round
+  # stages hand workers pointers into per-edge plan buffers and result slots
+  # that live across the sample -> train -> reduce stages; a buffer resized
+  # while a pointer into it is live shows up here as a use-after-free.
+  echo "== address + undefined behaviour sanitizer (whole suite) =="
+  ASAN_DIR="${ASAN_DIR:-${BUILD_DIR}-asan}"
+  cmake -B "$ASAN_DIR" -S . \
+    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer -g -O1" \
+    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
+  cmake --build "$ASAN_DIR" -j "$JOBS"
+  ctest --test-dir "$ASAN_DIR" --output-on-failure -j "$JOBS"
+fi
+
 if [ "${TSAN:-1}" != "0" ]; then
   # Data-race check over the runtime subsystem: a separate TSan build of the
   # thread-pool unit suite plus the parallel-determinism integration test
@@ -275,8 +291,10 @@ if [ "${TSAN:-1}" != "0" ]; then
   "$TSAN_DIR/tests/test_hfl" --gtest_filter='ParallelDeterminism.*:ProfilerIntegration.*'
   # Every registered sampler driven through real 2- and 4-worker simulator
   # runs: samplers are coordinator-only by contract; TSan proves none of the
-  # zoo's per-device state is touched from worker threads.
-  "$TSAN_DIR/tests/test_sampling" --gtest_filter='*RunsBitwiseIdenticalAcrossThreadCounts*'
+  # zoo's per-device state is touched from worker threads. The wave-order
+  # equivalence runs train whole-step waves (several edges' downloads read
+  # by one section) with faults and lossy codecs on.
+  "$TSAN_DIR/tests/test_sampling" --gtest_filter='*RunsBitwiseIdenticalAcrossThreadCounts*:*DeclaredWaveOrderMatchesEdgeAtATime*:SamplerWaveOrder.*'
   # The fault replay/determinism suites drive 2- and 4-worker runs with the
   # injector active — the only new code reachable from worker threads.
   "$TSAN_DIR/tests/test_fault" --gtest_filter='FaultDeterminism.*:FailureReplay.*'

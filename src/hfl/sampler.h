@@ -4,6 +4,16 @@
 // the inclusion probabilities q[t][m,n] of the devices currently inside that
 // edge, then feeds back the training observations of the devices that
 // actually participated. Baselines live in src/sampling, MACH in src/core.
+//
+// Call order (DESIGN.md §8). Every call runs on the coordinator thread.
+// Within a step, the engine works in waves. A wave asks
+// edge_probabilities() for each of its edges in edge order, trains all the
+// wave's sampled devices, then reports observe_training() edge by edge, with
+// devices in index order. By default the whole step is one wave, so edge n's
+// decision comes before the observations of edges 0..n-1 of the same step.
+// A sampler whose decision reads those observations declares
+// reads_same_step_experience(); its waves are then one edge each, which is
+// the edge-at-a-time order. on_cloud_round() follows the step's last wave.
 #pragma once
 
 #include <cstdint>
@@ -86,6 +96,16 @@ class Sampler {
 
   /// True when edge_probabilities needs oracle_grad_sq_norms filled (MACH-P).
   virtual bool needs_oracle() const { return false; }
+
+  /// True when edge_probabilities for one edge reads experience that
+  /// observe_training gathered from *other* edges' devices in the same step
+  /// (a population mean, a median over all observed devices, ...). The
+  /// engine then finishes each edge before sampling the next. Samplers that
+  /// only read their own edge's devices, or state from earlier steps, keep
+  /// the default: their whole step is sampled first and trained in one
+  /// parallel section, with identical results. A wrong `false` changes the
+  /// run; the registry-wide conformance test checks every declaration.
+  virtual bool reads_same_step_experience() const { return false; }
 
   /// Checkpointing: serialises all run-accumulated state (experience
   /// buffers, UCB statistics, EMA estimates, internal RNG streams) into

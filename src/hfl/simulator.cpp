@@ -59,6 +59,8 @@ HflSimulator::HflSimulator(const data::Dataset& train, const data::Dataset& test
   global_ = model_.get_parameters();
   param_count_ = global_.size();
   edge_models_.assign(schedule_.num_edges(), global_);
+  plans_.resize(schedule_.num_edges());
+  aggregate_.resize(param_count_);
   device_rngs_.reserve(partition_.size());
   for (std::size_t m = 0; m < partition_.size(); ++m) {
     device_rngs_.emplace_back(common::split_seed(options_.seed, 0xd00 + m));
@@ -93,12 +95,12 @@ void HflSimulator::transcode(const comm::Codec& codec,
     const obs::SpanGuard span("comm.encode", t, id);
     codec.encode(values, reference, residual, wire_);
   }
-  if (ctr_comm_encodes_ != nullptr) ctr_comm_encodes_->add();
+  if (ins_.comm_encodes != nullptr) ins_.comm_encodes->add();
   {
     const obs::SpanGuard span("comm.decode", t, id);
     codec.decode(wire_, values.size(), reference, out);
   }
-  if (ctr_comm_decodes_ != nullptr) ctr_comm_decodes_->add();
+  if (ins_.comm_decodes != nullptr) ins_.comm_decodes->add();
 }
 
 double HflSimulator::edge_capacity(std::size_t edge) const {
@@ -313,8 +315,7 @@ std::uint64_t HflSimulator::run_fingerprint(const Sampler& sampler,
 
 void HflSimulator::save_checkpoint(Sampler& sampler, std::size_t steps,
                                    std::size_t next_t, std::size_t cloud_rounds,
-                                   double window_train_loss,
-                                   std::size_t window_participants,
+                                   const EvalWindow& window,
                                    const MetricsRecorder& metrics) {
   // Marker first: the cursor captured below must cover the marker line, so
   // the resumed trace (truncated to the cursor, then appended) carries the
@@ -334,8 +335,8 @@ void HflSimulator::save_checkpoint(Sampler& sampler, std::size_t steps,
   header.next_t = next_t;
   header.total_steps = steps;
   header.cloud_rounds = cloud_rounds;
-  header.window_train_loss = window_train_loss;
-  header.window_participants = window_participants;
+  header.window_train_loss = window.train_loss;
+  header.window_participants = window.participants;
   if (cursor.has_value()) {
     header.has_trace_cursor = true;
     header.trace_bytes = cursor->byte_offset;
@@ -428,8 +429,7 @@ void HflSimulator::save_checkpoint(Sampler& sampler, std::size_t steps,
 
 std::size_t HflSimulator::restore_run_state(Sampler& sampler, std::size_t steps,
                                             std::size_t& cloud_rounds,
-                                            double& window_train_loss,
-                                            std::size_t& window_participants,
+                                            EvalWindow& window,
                                             MetricsRecorder& metrics) {
   ckpt::ByteReader in(resume_payload_);
   const ckpt::RunStateHeader header = ckpt::RunStateHeader::decode(in);
@@ -543,9 +543,381 @@ std::size_t HflSimulator::restore_run_state(Sampler& sampler, std::size_t steps,
   }
 
   cloud_rounds = header.cloud_rounds;
-  window_train_loss = header.window_train_loss;
-  window_participants = header.window_participants;
+  window.train_loss = header.window_train_loss;
+  window.participants = header.window_participants;
   return static_cast<std::size_t>(header.next_t);
+}
+
+void HflSimulator::sample_edge(std::size_t t, std::size_t n,
+                               std::span<const std::uint32_t> devices,
+                               Sampler& sampler) {
+  EdgePlan& plan = plans_[n];
+  plan.devices = devices;
+  plan.sampled.clear();
+  plan.fates.clear();
+  if (devices.empty()) {
+    plan.state = EdgePlan::State::Idle;
+    return;
+  }
+  // Transient edge outage: the edge runs no round at all — no sampling
+  // draws, no training, the edge model carries over unchanged. The
+  // Bernoulli stream is untouched because fault decisions never consume
+  // engine randomness.
+  const bool faults_on = injector_.enabled();
+  if (faults_on && injector_.edge_out(t, n)) {
+    plan.state = EdgePlan::State::Outage;
+    return;
+  }
+  plan.state = EdgePlan::State::Sampled;
+  const std::vector<float>& edge_model = edge_models_[n];
+  const obs::SpanGuard edge_span("edge_round", static_cast<std::int64_t>(t),
+                                 static_cast<std::int64_t>(n));
+
+  // Sampler decision phase (Alg. 3 + any oracle probing).
+  {
+    obs::ScopedTimer timer(timers_, obs::Phase::SamplerDecision);
+    const obs::SpanGuard span("sampler_decision", static_cast<std::int64_t>(t),
+                              static_cast<std::int64_t>(n));
+    EdgeSamplingContext ctx;
+    ctx.t = t;
+    ctx.edge = n;
+    ctx.capacity = edge_capacity(n);
+    ctx.devices = devices;
+    if (sampler.needs_oracle()) {
+      oracle_norms_.resize(devices.size());
+      // One encoded probe broadcast serves every device in this edge round:
+      // probing is memoryless (no reference, no residual), so the decode is
+      // shared and each device is charged one message.
+      const std::vector<float>* probe_view = &edge_model;
+      if (!codec_probe_->lossless()) {
+        transcode(*codec_probe_, edge_model, {}, {}, probe_model_,
+                  static_cast<std::int64_t>(t), static_cast<std::int64_t>(n));
+        probe_view = &probe_model_;
+      }
+      for (std::size_t i = 0; i < devices.size(); ++i) {
+        oracle_norms_[i] = probe_gradient_norm(devices[i], *probe_view);
+      }
+      cost_.probe_downloads += devices.size();
+      cost_.ledger.probe_download.add(devices.size(), bytes_probe_);
+      ctx.oracle_grad_sq_norms = oracle_norms_;
+    }
+    plan.probs = sampler.edge_probabilities(ctx);
+    if (plan.probs.size() != devices.size()) {
+      throw std::logic_error("sampler returned wrong probability count");
+    }
+    for (auto& q : plan.probs) {
+      if (q < options_.min_probability) ins_.floor_clamps->add();
+      q = std::clamp(q, options_.min_probability, 1.0);
+      ins_.q->observe(q);
+    }
+    plan.sampler_seconds = timer.elapsed_seconds();
+  }
+
+  // Device sampling: independent Bernoulli trials drawn in device-index
+  // order, edges in index order, so the engine RNG stream is identical at
+  // any thread count and for either wave shape.
+  for (std::size_t i = 0; i < devices.size(); ++i) {
+    if (engine_rng_.bernoulli(plan.probs[i])) {
+      plan.sampled.push_back(static_cast<std::uint32_t>(i));
+    }
+  }
+  const std::size_t num_sampled = plan.sampled.size();
+  cost_.device_downloads += num_sampled;  // devices fetch w_n^t (Eq. 4)
+  cost_.ledger.device_download.add(num_sampled, bytes_device_down_);
+  // Downlink transcode: every sampled device trains from the *decoded*
+  // broadcast, so one shared decode per edge round stands in for all of them
+  // (the encoding is deterministic, all devices receive the same bytes). The
+  // fp32 identity codec skips this entirely — `device_view` aliasing the
+  // edge model is what keeps the default path bitwise equal to pre-codec
+  // builds. The decode lands in the edge's own buffer: it must survive until
+  // the edge's reduce, after other edges of the wave transcoded theirs.
+  plan.device_view = &edge_model;
+  if (!codec_device_down_->lossless() && num_sampled > 0) {
+    transcode(*codec_device_down_, edge_model, {}, {}, plan.downlink,
+              static_cast<std::int64_t>(t), static_cast<std::int64_t>(n));
+    plan.device_view = &plan.downlink;
+  }
+  if (!faults_on) {
+    cost_.device_uploads += num_sampled;  // devices return w_m^{t+1}
+    cost_.ledger.device_upload.add(num_sampled, bytes_device_up_);
+  } else {
+    // Fates are decided on the coordinator before training dispatch, one
+    // hashed RNG stream per (t, edge, device): thread-count independent and
+    // exactly replayable. Dropped devices vanish before uploading;
+    // stragglers pay one upload per attempt (counted even when every attempt
+    // misses the timeout budget).
+    const obs::SpanGuard span("fault_fates", static_cast<std::int64_t>(t),
+                              static_cast<std::int64_t>(n));
+    plan.fates.resize(num_sampled);
+    for (std::size_t k = 0; k < num_sampled; ++k) {
+      plan.fates[k] = injector_.device_fate(t, n, devices[plan.sampled[k]]);
+      const fault::DeviceFaultDecision& fate = plan.fates[k];
+      switch (fate.fate) {
+        case fault::DeviceFate::Completed:
+          cost_.device_uploads += 1;
+          cost_.ledger.device_upload.add(1, bytes_device_up_);
+          break;
+        case fault::DeviceFate::Dropped:
+          break;
+        case fault::DeviceFate::StragglerArrived:
+        case fault::DeviceFate::StragglerTimedOut:
+          // Every attempt crosses the wire at the encoded size — codecs
+          // produce value-independent message sizes precisely so lost
+          // retransmissions can be charged without encoding anything.
+          cost_.device_uploads += 1 + fate.retries;
+          cost_.retry_uploads += fate.retries;
+          cost_.ledger.device_upload.add(1 + fate.retries, bytes_device_up_);
+          cost_.ledger.retry_upload.add(fate.retries, bytes_device_up_);
+          break;
+      }
+    }
+  }
+
+  // Queue the arriving devices for the wave's train stage. Non-arriving
+  // devices never train: their update is lost either way, the sampler must
+  // not observe them, and skipping keeps their local RNG streams unconsumed
+  // (so a device's future minibatch draws do not depend on past fault
+  // outcomes).
+  plan.first_slot = wave_slots_;
+  wave_slots_ += num_sampled;
+  for (std::size_t k = 0; k < num_sampled; ++k) {
+    if (faults_on && !plan.fates[k].arrived) continue;
+    train_tasks_.push_back({static_cast<std::uint32_t>(n),
+                            devices[plan.sampled[k]], plan.first_slot + k});
+  }
+}
+
+void HflSimulator::train_wave(std::size_t t, double learning_rate) {
+  if (train_tasks_.empty()) return;
+  if (device_slots_.size() < wave_slots_) device_slots_.resize(wave_slots_);
+  // Local updating (Eq. 4) for every queued pair of the wave. Pairs are
+  // independent — each touches only its device's shard and RNG stream (a
+  // device sits in one edge per step), its edge's frozen download and a
+  // private scratch model — so workers train them on their replicas into
+  // disjoint slots, bitwise identical to the serial loop. One DeviceTraining
+  // scope per wave at every thread count: it records the stage's wall time,
+  // so the phase breakdown shows the realised speedup; per-device wall times
+  // stay in the slots for the trace events.
+  obs::ScopedTimer timer(timers_, obs::Phase::DeviceTraining);
+  const auto train_task = [&](std::size_t i, nn::Sequential& model) {
+    const TrainTask& task = train_tasks_[i];
+    DeviceSlot& out = device_slots_[task.slot];
+    const obs::SpanGuard span("device_train", static_cast<std::int64_t>(t),
+                              task.device);
+    const obs::Stopwatch watch;
+    out.observation =
+        train_device(t, task.device, task.edge, *plans_[task.edge].device_view,
+                     learning_rate, model, out.params);
+    out.seconds = watch.seconds();
+  };
+  if (pool_ != nullptr && train_tasks_.size() > 1) {
+    pool_->parallel_for(0, train_tasks_.size(), [&](std::size_t i, std::size_t slot) {
+      // Bind this worker to its slot's span track (slot ownership is
+      // exclusive within a section, so the track ring is single-writer).
+      std::optional<obs::SpanProfiler::ThreadScope> track_scope;
+      if (profiler_ != nullptr) {
+        track_scope.emplace(profiler_.get(), static_cast<std::uint32_t>(slot + 1));
+      }
+      train_task(i, replicas_->model(slot));
+    });
+  } else {
+    for (std::size_t i = 0; i < train_tasks_.size(); ++i) train_task(i, model_);
+  }
+}
+
+void HflSimulator::reduce_edge(std::size_t t, std::size_t n, Sampler& sampler,
+                               EvalWindow& window) {
+  const EdgePlan& plan = plans_[n];
+  if (plan.state == EdgePlan::State::Idle) return;
+  const std::span<const std::uint32_t> devices = plan.devices;
+  if (plan.state == EdgePlan::State::Outage) {
+    ins_.fault_outages->add();
+    if (observer_ != nullptr) {
+      obs::EdgeAggregatedEvent event;
+      event.t = t;
+      event.edge = n;
+      event.capacity = edge_capacity(n);
+      event.num_devices = devices.size();
+      event.faults.active = true;
+      event.faults.edge_outage = true;
+      observer_->on_edge_aggregated(event);
+    }
+    return;
+  }
+
+  // Ordered reduction: observer events, sampler experience and the
+  // Horvitz-Thompson accumulation all walk the slots in device-index order —
+  // float addition order is the same at any thread count and wave shape.
+  const bool faults_on = injector_.enabled();
+  std::vector<float>& edge_model = edge_models_[n];
+  const std::vector<float>& device_view = *plan.device_view;
+  std::fill(aggregate_.begin(), aggregate_.end(), 0.0f);
+  const double inv_edge_size = 1.0 / static_cast<double>(devices.size());
+  double weight_total = 0.0;
+  double weight_sq_total = 0.0;  // for the HT-variance diagnostic
+  const std::size_t num_sampled = plan.sampled.size();
+  std::size_t num_arrived = 0;
+  std::size_t round_dropped = 0;
+  std::size_t round_straggler_arrivals = 0;
+  std::size_t round_straggler_timeouts = 0;
+  std::size_t round_retries = 0;
+  survivors_.clear();
+  lost_.clear();
+  double train_seconds = 0.0;
+  double aggregate_seconds = 0.0;
+  std::optional<obs::SpanGuard> reduce_span;
+  if (profiler_ != nullptr) {
+    reduce_span.emplace("edge_reduce", static_cast<std::int64_t>(t),
+                        static_cast<std::int64_t>(n));
+  }
+  for (std::size_t k = 0; k < num_sampled; ++k) {
+    const std::size_t i = plan.sampled[k];
+    if (faults_on) {
+      const fault::DeviceFaultDecision& fate = plan.fates[k];
+      round_retries += fate.retries;
+      if (!fate.arrived) {
+        // Update lost: no observer event, no sampler experience, no HT
+        // contribution. Survivor weights absorb the loss below.
+        lost_.push_back(devices[i]);
+        if (fate.fate == fault::DeviceFate::Dropped) {
+          ++round_dropped;
+        } else {
+          ++round_straggler_timeouts;
+        }
+        continue;
+      }
+      survivors_.push_back(devices[i]);
+      if (fate.fate == fault::DeviceFate::StragglerArrived) {
+        ++round_straggler_arrivals;
+      }
+    }
+    ++num_arrived;
+    const DeviceSlot& device_slot = device_slots_[plan.first_slot + k];
+    const TrainingObservation& observation = device_slot.observation;
+    train_seconds += device_slot.seconds;
+    ins_.trained->add();
+    window.train_loss += observation.mean_loss;
+    ++window.participants;
+    if (observer_ != nullptr) {
+      obs::DeviceTrainedEvent event;
+      event.t = t;
+      event.device = devices[i];
+      event.edge = n;
+      event.q = plan.probs[i];
+      event.mean_loss = observation.mean_loss;
+      event.last_grad_sq_norm = observation.local_grad_sq_norms.empty()
+                                    ? 0.0
+                                    : observation.local_grad_sq_norms.back();
+      event.seconds = device_slot.seconds;
+      observer_->on_device_trained(event);
+    }
+    sampler.observe_training(observation);
+    // Eq. 5's weight over the surviving set: the realised inclusion
+    // probability of an *arriving* device is q_m * a_m, where a_m is the
+    // schedule's analytic arrival probability (independent thinning), so
+    // dividing by it keeps the edge aggregate exactly unbiased.
+    double q_effective = plan.probs[i];
+    if (faults_on) {
+      q_effective *= injector_.arrival_probability(n, devices[i]);
+    }
+    const double ht_weight = inv_edge_size / q_effective;
+    weight_total += ht_weight;
+    weight_sq_total += ht_weight * ht_weight;
+    const auto weight = static_cast<float>(ht_weight);
+    // Uplink transcode, on the coordinator in sampled order (bitwise
+    // deterministic at any thread count). The upload's reference frame is
+    // the *decoded downlink* the device trained from — for delta codecs
+    // (top-k) the edge reconstructs reference + sparse delta, and the
+    // untransmitted remainder feeds the device's error-feedback residual for
+    // its next participation.
+    const std::vector<float>* upload_view = &device_slot.params;
+    if (!codec_device_up_->lossless()) {
+      const std::span<float> residual =
+          codec_device_up_->stateful() ? upload_residuals_.get_or_alloc(devices[i])
+                                       : std::span<float>{};
+      transcode(*codec_device_up_, device_slot.params, device_view, residual,
+                decoded_upload_, static_cast<std::int64_t>(t),
+                static_cast<std::int64_t>(devices[i]));
+      upload_view = &decoded_upload_;
+    }
+    const obs::Stopwatch accumulate_watch;
+    if (options_.aggregation == AggregationForm::UpdateForm) {
+      // HT-weighted deltas (the form the paper's proof analyses) against the
+      // model the device actually received.
+      tensor::kernels::axpy_delta(param_count_, weight, upload_view->data(),
+                                  device_view.data(), aggregate_.data());
+    } else {
+      // HT-weighted parameters (Eq. 5).
+      tensor::kernels::axpy(param_count_, weight, upload_view->data(),
+                            aggregate_.data());
+    }
+    aggregate_seconds += accumulate_watch.seconds();
+  }
+  // Edge aggregation (Eq. 5). With no arriving participant (nothing sampled,
+  // or every sampled update lost to faults) the edge model is carried over
+  // unchanged in every form.
+  const bool any_sampled = num_arrived > 0;
+  if (any_sampled) {
+    const obs::Stopwatch fold_watch;
+    switch (options_.aggregation) {
+      case AggregationForm::Literal:
+        edge_model.assign(aggregate_.begin(), aggregate_.end());
+        break;
+      case AggregationForm::SelfNormalized: {
+        const auto inv = static_cast<float>(1.0 / weight_total);
+        tensor::kernels::scale_copy(param_count_, inv, aggregate_.data(),
+                                    edge_model.data());
+        break;
+      }
+      case AggregationForm::UpdateForm:
+        tensor::kernels::vadd(param_count_, aggregate_.data(), edge_model.data());
+        break;
+    }
+    aggregate_seconds += fold_watch.seconds();
+  }
+  timers_[obs::Phase::EdgeAggregation].add(aggregate_seconds);
+  reduce_span.reset();
+  ins_.edge_aggs->add();
+  if (!any_sampled) ins_.empty_edges->add();
+  if (faults_on) {
+    if (round_dropped > 0) ins_.fault_drops->add(round_dropped);
+    if (round_straggler_arrivals > 0) {
+      ins_.fault_straggler_arrivals->add(round_straggler_arrivals);
+    }
+    if (round_straggler_timeouts > 0) {
+      ins_.fault_straggler_timeouts->add(round_straggler_timeouts);
+    }
+    if (round_retries > 0) ins_.fault_retries->add(round_retries);
+    if (!lost_.empty()) ins_.fault_updates_lost->add(lost_.size());
+  }
+  if (observer_ != nullptr) {
+    obs::EdgeAggregatedEvent event;
+    event.t = t;
+    event.edge = n;
+    event.capacity = edge_capacity(n);
+    event.num_devices = devices.size();
+    event.num_sampled = num_sampled;
+    event.q = obs::QSummary::from(plan.probs, options_.min_probability);
+    event.ht_weight_sum = weight_total;
+    if (num_arrived > 0) {
+      const double mean_w = weight_total / static_cast<double>(num_arrived);
+      event.ht_weight_variance =
+          weight_sq_total / static_cast<double>(num_arrived) - mean_w * mean_w;
+    }
+    event.sampler_seconds = plan.sampler_seconds;
+    event.train_seconds = train_seconds;
+    event.aggregate_seconds = aggregate_seconds;
+    if (faults_on) {
+      event.faults.active = true;
+      event.faults.num_dropped = round_dropped;
+      event.faults.num_straggler_arrivals = round_straggler_arrivals;
+      event.faults.num_straggler_timeouts = round_straggler_timeouts;
+      event.faults.num_retries = round_retries;
+      event.faults.survivors = survivors_;
+      event.faults.lost = lost_;
+    }
+    observer_->on_edge_aggregated(event);
+  }
 }
 
 MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
@@ -588,47 +960,39 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
   if (profiler_ != nullptr) profile_scope.emplace(profiler_.get(), 0);
   const obs::Stopwatch run_watch;
 
-  // Inner-loop instruments: references are cached once here, so the hot path
-  // pays one add per event. None of this touches the RNG stream — attaching
-  // an observer (or not) cannot change the simulated run.
-  obs::Counter& ctr_trained = registry_.counter("devices_trained");
-  obs::Counter& ctr_floor_clamps = registry_.counter("q_clamped_to_floor");
-  obs::Counter& ctr_edge_aggs = registry_.counter("edge_aggregations");
-  obs::Counter& ctr_empty_edges = registry_.counter("edge_rounds_no_participant");
+  // Inner-loop instruments: pointers are cached once here, so the stages pay
+  // one add per event. None of this touches the RNG stream — attaching an
+  // observer (or not) cannot change the simulated run.
+  ins_ = Instruments{};
+  ins_.trained = &registry_.counter("devices_trained");
+  ins_.floor_clamps = &registry_.counter("q_clamped_to_floor");
+  ins_.edge_aggs = &registry_.counter("edge_aggregations");
+  ins_.empty_edges = &registry_.counter("edge_rounds_no_participant");
   obs::Counter& ctr_evals = registry_.counter("evaluations");
   obs::Gauge& gauge_lr = registry_.gauge("learning_rate");
-  obs::Histogram& hist_q = registry_.histogram(
+  ins_.q = &registry_.histogram(
       "sampling_probability", {0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0});
 
   // Fault instruments only exist when a schedule is active: an all-zero
   // schedule must leave the registry snapshot (and thus the run_end trace
   // line) byte-identical to a fault-free run.
   const bool faults_on = injector_.enabled();
-  obs::Counter* ctr_fault_drops = nullptr;
-  obs::Counter* ctr_fault_straggler_arrivals = nullptr;
-  obs::Counter* ctr_fault_straggler_timeouts = nullptr;
-  obs::Counter* ctr_fault_retries = nullptr;
-  obs::Counter* ctr_fault_outages = nullptr;
-  obs::Counter* ctr_fault_cloud_lost = nullptr;
-  obs::Counter* ctr_fault_updates_lost = nullptr;
   if (faults_on) {
-    ctr_fault_drops = &registry_.counter("fault_dropouts");
-    ctr_fault_straggler_arrivals = &registry_.counter("fault_straggler_arrivals");
-    ctr_fault_straggler_timeouts = &registry_.counter("fault_straggler_timeouts");
-    ctr_fault_retries = &registry_.counter("fault_retries");
-    ctr_fault_outages = &registry_.counter("fault_edge_outage_rounds");
-    ctr_fault_cloud_lost = &registry_.counter("fault_cloud_uploads_lost");
-    ctr_fault_updates_lost = &registry_.counter("fault_updates_lost");
+    ins_.fault_drops = &registry_.counter("fault_dropouts");
+    ins_.fault_straggler_arrivals = &registry_.counter("fault_straggler_arrivals");
+    ins_.fault_straggler_timeouts = &registry_.counter("fault_straggler_timeouts");
+    ins_.fault_retries = &registry_.counter("fault_retries");
+    ins_.fault_outages = &registry_.counter("fault_edge_outage_rounds");
+    ins_.fault_cloud_lost = &registry_.counter("fault_cloud_uploads_lost");
+    ins_.fault_updates_lost = &registry_.counter("fault_updates_lost");
   }
 
   // Codec instruments follow the same rule: they only exist when some link
   // actually transcodes, so an all-fp32 run keeps the registry snapshot (and
   // the run_end trace line) byte-identical to pre-codec builds.
-  ctr_comm_encodes_ = nullptr;
-  ctr_comm_decodes_ = nullptr;
   if (comm_lossy_) {
-    ctr_comm_encodes_ = &registry_.counter("comm_encodes");
-    ctr_comm_decodes_ = &registry_.counter("comm_decodes");
+    ins_.comm_encodes = &registry_.counter("comm_encodes");
+    ins_.comm_decodes = &registry_.counter("comm_decodes");
   }
 
   // Codec model state, (re)initialised before any resume restore overwrites
@@ -649,8 +1013,7 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
   // references above stay live) and before any event is emitted — the
   // run_begin line and baseline evaluation already happened in the original
   // run and live in the truncated trace / restored recorder.
-  double window_train_loss = 0.0;
-  std::size_t window_participants = 0;
+  EvalWindow window;
   std::size_t cloud_rounds = 0;
   std::size_t start_t = 0;
   const bool resumed = !resume_payload_.empty();
@@ -663,8 +1026,7 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
   }
 
   if (resumed) {
-    start_t = restore_run_state(sampler, steps, cloud_rounds, window_train_loss,
-                                window_participants, metrics);
+    start_t = restore_run_state(sampler, steps, cloud_rounds, window, metrics);
     resume_payload_.clear();
     resume_payload_.shrink_to_fit();
   }
@@ -707,11 +1069,14 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
     record_eval(baseline, timer.elapsed_seconds());
   }
 
-  std::vector<float> aggregate(param_count_);
-  std::vector<double> probs;
-  std::vector<double> oracle_norms;
   std::vector<std::uint64_t> cloud_lost;  // edges whose upload was lost
   std::vector<float> prev_global;         // w^t backup for all-lost rounds
+  // Edges are independent until the cloud fold (each has its own w_n^t,
+  // Eq. 5), so a step runs as one wave: sample every edge, train every
+  // arriving pair in one parallel section, reduce the edges in index order.
+  // A sampler whose decisions read experience observed earlier in the same
+  // step gets one-edge waves instead — the edge-at-a-time order.
+  const bool edge_waves = sampler.reads_same_step_experience();
 
   for (std::size_t t = start_t; t < steps; ++t) {
     const obs::SpanGuard round_span("round", static_cast<std::int64_t>(t));
@@ -728,360 +1093,18 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
       }
       observer_->on_step_begin(event);
     }
-    for (std::size_t n = 0; n < per_edge.size(); ++n) {
-      const auto& devices = per_edge[n];
-      if (devices.empty()) continue;
-
-      // Transient edge outage: the edge runs no round at all — no sampling
-      // draws, no training, the edge model carries over unchanged. The
-      // Bernoulli stream is untouched because fault decisions never consume
-      // engine randomness.
-      if (faults_on && injector_.edge_out(t, n)) {
-        ctr_fault_outages->add();
-        if (observer_ != nullptr) {
-          obs::EdgeAggregatedEvent event;
-          event.t = t;
-          event.edge = n;
-          event.capacity = edge_capacity(n);
-          event.num_devices = devices.size();
-          event.faults.active = true;
-          event.faults.edge_outage = true;
-          observer_->on_edge_aggregated(event);
-        }
-        continue;
+    for (std::size_t first = 0; first < per_edge.size();) {
+      const std::size_t last = edge_waves ? first + 1 : per_edge.size();
+      train_tasks_.clear();
+      wave_slots_ = 0;
+      for (std::size_t n = first; n < last; ++n) {
+        sample_edge(t, n, per_edge[n], sampler);
       }
-      std::vector<float>& edge_model = edge_models_[n];
-      const obs::SpanGuard edge_span("edge_round", static_cast<std::int64_t>(t),
-                                     static_cast<std::int64_t>(n));
-
-      // Sampler decision phase (Alg. 3 + any oracle probing).
-      double sampler_seconds = 0.0;
-      {
-        obs::ScopedTimer timer(timers_, obs::Phase::SamplerDecision);
-        const obs::SpanGuard span("sampler_decision",
-                                  static_cast<std::int64_t>(t),
-                                  static_cast<std::int64_t>(n));
-        EdgeSamplingContext ctx;
-        ctx.t = t;
-        ctx.edge = n;
-        ctx.capacity = edge_capacity(n);
-        ctx.devices = devices;
-        if (sampler.needs_oracle()) {
-          oracle_norms.resize(devices.size());
-          // One encoded probe broadcast serves every device in this edge
-          // round: probing is memoryless (no reference, no residual), so the
-          // decode is shared and each device is charged one message.
-          const std::vector<float>* probe_view = &edge_model;
-          if (!codec_probe_->lossless()) {
-            transcode(*codec_probe_, edge_model, {}, {}, probe_model_,
-                      static_cast<std::int64_t>(t),
-                      static_cast<std::int64_t>(n));
-            probe_view = &probe_model_;
-          }
-          for (std::size_t i = 0; i < devices.size(); ++i) {
-            oracle_norms[i] = probe_gradient_norm(devices[i], *probe_view);
-          }
-          cost_.probe_downloads += devices.size();
-          cost_.ledger.probe_download.add(devices.size(), bytes_probe_);
-          ctx.oracle_grad_sq_norms = oracle_norms;
-        }
-        probs = sampler.edge_probabilities(ctx);
-        if (probs.size() != devices.size()) {
-          throw std::logic_error("sampler returned wrong probability count");
-        }
-        for (auto& q : probs) {
-          if (q < options_.min_probability) ctr_floor_clamps.add();
-          q = std::clamp(q, options_.min_probability, 1.0);
-          hist_q.observe(q);
-        }
-        sampler_seconds = timer.elapsed_seconds();
+      train_wave(t, lr);
+      for (std::size_t n = first; n < last; ++n) {
+        reduce_edge(t, n, sampler, window);
       }
-
-      // Device sampling: independent Bernoulli trials drawn in device-index
-      // order, so the engine RNG stream is identical at any thread count.
-      sampled_.clear();
-      for (std::size_t i = 0; i < devices.size(); ++i) {
-        if (engine_rng_.bernoulli(probs[i])) {
-          sampled_.push_back(static_cast<std::uint32_t>(i));
-        }
-      }
-      cost_.device_downloads += sampled_.size();  // devices fetch w_n^t (Eq. 4)
-      cost_.ledger.device_download.add(sampled_.size(), bytes_device_down_);
-      // Downlink transcode: every sampled device trains from the *decoded*
-      // broadcast, so one shared decode per edge round stands in for all of
-      // them (the encoding is deterministic, all devices receive the same
-      // bytes). The fp32 identity codec skips this entirely — `device_view`
-      // aliasing `edge_model` is what keeps the default path bitwise equal
-      // to pre-codec builds.
-      const std::vector<float>* device_view = &edge_model;
-      if (!codec_device_down_->lossless() && !sampled_.empty()) {
-        transcode(*codec_device_down_, edge_model, {}, {},
-                  downlink_model_, static_cast<std::int64_t>(t),
-                  static_cast<std::int64_t>(n));
-        device_view = &downlink_model_;
-      }
-      if (!faults_on) {
-        cost_.device_uploads += sampled_.size();  // devices return w_m^{t+1}
-        cost_.ledger.device_upload.add(sampled_.size(), bytes_device_up_);
-      } else {
-        // Fates are decided on the coordinator before training dispatch, one
-        // hashed RNG stream per (t, edge, device): thread-count independent
-        // and exactly replayable. Dropped devices vanish before uploading;
-        // stragglers pay one upload per attempt (counted even when every
-        // attempt misses the timeout budget).
-        const obs::SpanGuard span("fault_fates", static_cast<std::int64_t>(t),
-                                  static_cast<std::int64_t>(n));
-        fates_.resize(sampled_.size());
-        for (std::size_t k = 0; k < sampled_.size(); ++k) {
-          fates_[k] = injector_.device_fate(t, n, devices[sampled_[k]]);
-          const fault::DeviceFaultDecision& fate = fates_[k];
-          switch (fate.fate) {
-            case fault::DeviceFate::Completed:
-              cost_.device_uploads += 1;
-              cost_.ledger.device_upload.add(1, bytes_device_up_);
-              break;
-            case fault::DeviceFate::Dropped:
-              break;
-            case fault::DeviceFate::StragglerArrived:
-            case fault::DeviceFate::StragglerTimedOut:
-              // Every attempt crosses the wire at the encoded size — codecs
-              // produce value-independent message sizes precisely so lost
-              // retransmissions can be charged without encoding anything.
-              cost_.device_uploads += 1 + fate.retries;
-              cost_.retry_uploads += fate.retries;
-              cost_.ledger.device_upload.add(1 + fate.retries, bytes_device_up_);
-              cost_.ledger.retry_upload.add(fate.retries, bytes_device_up_);
-              break;
-          }
-        }
-      }
-
-      // Local updating (Eq. 4): each sampled device trains into its own
-      // result slot. Sampled devices are independent — each touches only its
-      // shard and RNG stream plus a private scratch model — so the parallel
-      // path dispatches them across the worker replicas and is bitwise
-      // identical to the serial path (the reduction below never reorders).
-      if (device_slots_.size() < sampled_.size()) {
-        device_slots_.resize(sampled_.size());
-      }
-      if (pool_ != nullptr && sampled_.size() > 1) {
-        // One DeviceTraining scope per edge round: the accumulator records
-        // the wall time of the whole parallel section, so the phase
-        // breakdown shows the realised speedup; per-device wall times are
-        // kept in the slots for the trace events.
-        obs::ScopedTimer section_timer(timers_, obs::Phase::DeviceTraining);
-        pool_->parallel_for(
-            0, sampled_.size(), [&](std::size_t k, std::size_t slot) {
-              if (faults_on && !fates_[k].arrived) return;
-              // Bind this worker to its slot's span track for the duration
-              // of the slice (slot ownership is exclusive within a section,
-              // so the track ring is single-writer).
-              std::optional<obs::SpanProfiler::ThreadScope> track_scope;
-              if (profiler_ != nullptr) {
-                track_scope.emplace(profiler_.get(),
-                                    static_cast<std::uint32_t>(slot + 1));
-              }
-              DeviceSlot& out = device_slots_[k];
-              const obs::SpanGuard span("device_train",
-                                        static_cast<std::int64_t>(t),
-                                        devices[sampled_[k]]);
-              const obs::Stopwatch watch;
-              out.observation =
-                  train_device(t, devices[sampled_[k]], n, *device_view, lr,
-                               replicas_->model(slot), out.params);
-              out.seconds = watch.seconds();
-            });
-      } else {
-        for (std::size_t k = 0; k < sampled_.size(); ++k) {
-          // Non-arriving devices never train here: their update is lost
-          // either way, the sampler must not observe them, and skipping
-          // keeps their local RNG streams unconsumed (so a device's future
-          // minibatch draws do not depend on past fault outcomes).
-          if (faults_on && !fates_[k].arrived) continue;
-          DeviceSlot& out = device_slots_[k];
-          obs::ScopedTimer timer(timers_, obs::Phase::DeviceTraining);
-          const obs::SpanGuard span("device_train",
-                                    static_cast<std::int64_t>(t),
-                                    devices[sampled_[k]]);
-          out.observation = train_device(t, devices[sampled_[k]], n,
-                                         *device_view, lr, model_, out.params);
-          out.seconds = timer.elapsed_seconds();
-        }
-      }
-
-      // Ordered reduction: observer events, sampler experience and the
-      // Horvitz-Thompson accumulation all walk the slots in device-index
-      // order — float addition order matches the serial path exactly.
-      std::fill(aggregate.begin(), aggregate.end(), 0.0f);
-      const double inv_edge_size = 1.0 / static_cast<double>(devices.size());
-      double weight_total = 0.0;
-      double weight_sq_total = 0.0;  // for the HT-variance diagnostic
-      const std::size_t num_sampled = sampled_.size();
-      std::size_t num_arrived = 0;
-      std::size_t round_dropped = 0;
-      std::size_t round_straggler_arrivals = 0;
-      std::size_t round_straggler_timeouts = 0;
-      std::size_t round_retries = 0;
-      survivors_.clear();
-      lost_.clear();
-      double train_seconds = 0.0;
-      double aggregate_seconds = 0.0;
-      std::optional<obs::SpanGuard> reduce_span;
-      if (profiler_ != nullptr) {
-        reduce_span.emplace("edge_reduce", static_cast<std::int64_t>(t),
-                            static_cast<std::int64_t>(n));
-      }
-      for (std::size_t k = 0; k < num_sampled; ++k) {
-        const std::size_t i = sampled_[k];
-        if (faults_on) {
-          const fault::DeviceFaultDecision& fate = fates_[k];
-          round_retries += fate.retries;
-          if (!fate.arrived) {
-            // Update lost: no observer event, no sampler experience, no HT
-            // contribution. Survivor weights absorb the loss below.
-            lost_.push_back(devices[i]);
-            if (fate.fate == fault::DeviceFate::Dropped) {
-              ++round_dropped;
-            } else {
-              ++round_straggler_timeouts;
-            }
-            continue;
-          }
-          survivors_.push_back(devices[i]);
-          if (fate.fate == fault::DeviceFate::StragglerArrived) {
-            ++round_straggler_arrivals;
-          }
-        }
-        ++num_arrived;
-        const DeviceSlot& device_slot = device_slots_[k];
-        const TrainingObservation& observation = device_slot.observation;
-        train_seconds += device_slot.seconds;
-        ctr_trained.add();
-        window_train_loss += observation.mean_loss;
-        ++window_participants;
-        if (observer_ != nullptr) {
-          obs::DeviceTrainedEvent event;
-          event.t = t;
-          event.device = devices[i];
-          event.edge = n;
-          event.q = probs[i];
-          event.mean_loss = observation.mean_loss;
-          event.last_grad_sq_norm = observation.local_grad_sq_norms.empty()
-                                        ? 0.0
-                                        : observation.local_grad_sq_norms.back();
-          event.seconds = device_slot.seconds;
-          observer_->on_device_trained(event);
-        }
-        sampler.observe_training(observation);
-        // Eq. 5's weight over the surviving set: the realised inclusion
-        // probability of an *arriving* device is q_m * a_m, where a_m is the
-        // schedule's analytic arrival probability (independent thinning), so
-        // dividing by it keeps the edge aggregate exactly unbiased.
-        double q_effective = probs[i];
-        if (faults_on) {
-          q_effective *= injector_.arrival_probability(n, devices[i]);
-        }
-        const double ht_weight = inv_edge_size / q_effective;
-        weight_total += ht_weight;
-        weight_sq_total += ht_weight * ht_weight;
-        const auto weight = static_cast<float>(ht_weight);
-        // Uplink transcode, on the coordinator in sampled order (bitwise
-        // deterministic at any thread count). The upload's reference frame
-        // is the *decoded downlink* the device trained from — for delta
-        // codecs (top-k) the edge reconstructs reference + sparse delta, and
-        // the untransmitted remainder feeds the device's error-feedback
-        // residual for its next participation.
-        const std::vector<float>* upload_view = &device_slot.params;
-        if (!codec_device_up_->lossless()) {
-          const std::span<float> residual =
-              codec_device_up_->stateful()
-                  ? upload_residuals_.get_or_alloc(devices[i])
-                  : std::span<float>{};
-          transcode(*codec_device_up_, device_slot.params, *device_view,
-                    residual, decoded_upload_, static_cast<std::int64_t>(t),
-                    static_cast<std::int64_t>(devices[i]));
-          upload_view = &decoded_upload_;
-        }
-        const obs::Stopwatch accumulate_watch;
-        if (options_.aggregation == AggregationForm::UpdateForm) {
-          // HT-weighted deltas (the form the paper's proof analyses) against
-          // the model the device actually received.
-          tensor::kernels::axpy_delta(param_count_, weight,
-                                      upload_view->data(),
-                                      device_view->data(), aggregate.data());
-        } else {
-          // HT-weighted parameters (Eq. 5).
-          tensor::kernels::axpy(param_count_, weight,
-                                upload_view->data(), aggregate.data());
-        }
-        aggregate_seconds += accumulate_watch.seconds();
-      }
-      // Edge aggregation (Eq. 5). With no arriving participant (nothing
-      // sampled, or every sampled update lost to faults) the edge model is
-      // carried over unchanged in every form.
-      const bool any_sampled = num_arrived > 0;
-      if (any_sampled) {
-        const obs::Stopwatch fold_watch;
-        switch (options_.aggregation) {
-          case AggregationForm::Literal:
-            edge_model.assign(aggregate.begin(), aggregate.end());
-            break;
-          case AggregationForm::SelfNormalized: {
-            const auto inv = static_cast<float>(1.0 / weight_total);
-            tensor::kernels::scale_copy(param_count_, inv, aggregate.data(),
-                                        edge_model.data());
-            break;
-          }
-          case AggregationForm::UpdateForm:
-            tensor::kernels::vadd(param_count_, aggregate.data(),
-                                  edge_model.data());
-            break;
-        }
-        aggregate_seconds += fold_watch.seconds();
-      }
-      timers_[obs::Phase::EdgeAggregation].add(aggregate_seconds);
-      reduce_span.reset();
-      ctr_edge_aggs.add();
-      if (!any_sampled) ctr_empty_edges.add();
-      if (faults_on) {
-        if (round_dropped > 0) ctr_fault_drops->add(round_dropped);
-        if (round_straggler_arrivals > 0) {
-          ctr_fault_straggler_arrivals->add(round_straggler_arrivals);
-        }
-        if (round_straggler_timeouts > 0) {
-          ctr_fault_straggler_timeouts->add(round_straggler_timeouts);
-        }
-        if (round_retries > 0) ctr_fault_retries->add(round_retries);
-        if (!lost_.empty()) ctr_fault_updates_lost->add(lost_.size());
-      }
-      if (observer_ != nullptr) {
-        obs::EdgeAggregatedEvent event;
-        event.t = t;
-        event.edge = n;
-        event.capacity = edge_capacity(n);
-        event.num_devices = devices.size();
-        event.num_sampled = num_sampled;
-        event.q = obs::QSummary::from(probs, options_.min_probability);
-        event.ht_weight_sum = weight_total;
-        if (num_arrived > 0) {
-          const double mean_w = weight_total / static_cast<double>(num_arrived);
-          event.ht_weight_variance =
-              weight_sq_total / static_cast<double>(num_arrived) - mean_w * mean_w;
-        }
-        event.sampler_seconds = sampler_seconds;
-        event.train_seconds = train_seconds;
-        event.aggregate_seconds = aggregate_seconds;
-        if (faults_on) {
-          event.faults.active = true;
-          event.faults.num_dropped = round_dropped;
-          event.faults.num_straggler_arrivals = round_straggler_arrivals;
-          event.faults.num_straggler_timeouts = round_straggler_timeouts;
-          event.faults.num_retries = round_retries;
-          event.faults.survivors = survivors_;
-          event.faults.lost = lost_;
-        }
-        observer_->on_edge_aggregated(event);
-      }
+      first = last;
     }
 
     // Edge-to-cloud communication (Eq. 6) on the paper's t mod T_g schedule.
@@ -1155,7 +1178,7 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
       cost_.ledger.edge_upload.add(num_edges(), bytes_edge_up_);
       cost_.ledger.cloud_broadcast.add(num_edges(), bytes_cloud_down_);
       if (faults_on && !cloud_lost.empty()) {
-        ctr_fault_cloud_lost->add(cloud_lost.size());
+        ins_.fault_cloud_lost->add(cloud_lost.size());
       }
       {
         // UCB refresh (Alg. 2) is sampler work, charged to its phase.
@@ -1188,14 +1211,13 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
           point = evaluate_global(t + 1);
           eval_seconds = timer.elapsed_seconds();
         }
-        point.train_loss = window_participants > 0
-                               ? window_train_loss /
-                                     static_cast<double>(window_participants)
-                               : 0.0;
-        point.participants = window_participants;
+        point.train_loss =
+            window.participants > 0
+                ? window.train_loss / static_cast<double>(window.participants)
+                : 0.0;
+        point.participants = window.participants;
         record_eval(point, eval_seconds);
-        window_train_loss = 0.0;
-        window_participants = 0;
+        window = EvalWindow{};
       }
     }
 
@@ -1209,8 +1231,7 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
         obs::ScopedTimer timer(timers_, obs::Phase::Checkpoint);
         const obs::SpanGuard span("checkpoint",
                                   static_cast<std::int64_t>(done));
-        save_checkpoint(sampler, steps, done, cloud_rounds, window_train_loss,
-                        window_participants, metrics);
+        save_checkpoint(sampler, steps, done, cloud_rounds, window, metrics);
       }
       // CI/test harness: simulate preemption by hard-killing the process the
       // moment the first snapshot at or past `kill_at` is durable. SIGKILL
@@ -1241,8 +1262,7 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
       if (options_.checkpoint.every > 0 && done % options_.checkpoint.every != 0) {
         obs::ScopedTimer timer(timers_, obs::Phase::Checkpoint);
         const obs::SpanGuard span("checkpoint", static_cast<std::int64_t>(done));
-        save_checkpoint(sampler, steps, done, cloud_rounds, window_train_loss,
-                        window_participants, metrics);
+        save_checkpoint(sampler, steps, done, cloud_rounds, window, metrics);
       }
       interrupted_at_ = done;
       break;
@@ -1259,7 +1279,7 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
       snap.step = done;
       snap.total_steps = steps;
       snap.cloud_rounds = cloud_rounds;
-      snap.devices_trained = ctr_trained.value();
+      snap.devices_trained = ins_.trained->value();
       snap.elapsed_seconds = run_watch.seconds();
       if (snap.elapsed_seconds > 0.0) {
         snap.devices_per_second =
@@ -1271,8 +1291,8 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
                            static_cast<double>(completed) *
                            static_cast<double>(steps - done);
       }
-      if (ctr_fault_updates_lost != nullptr) {
-        snap.faults_lost = ctr_fault_updates_lost->value();
+      if (ins_.fault_updates_lost != nullptr) {
+        snap.faults_lost = ins_.fault_updates_lost->value();
       }
       if (profiler_ != nullptr) snap.spans_dropped = profiler_->spans_dropped();
       const obs::ResourceSample resource = resources_->latest();
@@ -1304,14 +1324,14 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
     snap.step = interrupted_at_.value_or(steps);
     snap.total_steps = steps;
     snap.cloud_rounds = cloud_rounds;
-    snap.devices_trained = ctr_trained.value();
+    snap.devices_trained = ins_.trained->value();
     snap.elapsed_seconds = run_watch.seconds();
     if (snap.elapsed_seconds > 0.0) {
       snap.devices_per_second =
           static_cast<double>(snap.devices_trained) / snap.elapsed_seconds;
     }
-    if (ctr_fault_updates_lost != nullptr) {
-      snap.faults_lost = ctr_fault_updates_lost->value();
+    if (ins_.fault_updates_lost != nullptr) {
+      snap.faults_lost = ins_.fault_updates_lost->value();
     }
     if (profiler_ != nullptr) snap.spans_dropped = profiler_->spans_dropped();
     const obs::ResourceSample resource = resources_->latest();

@@ -100,10 +100,11 @@ struct HflOptions {
   std::uint64_t sampling_seed = 0;
   /// Worker threads for device training and evaluation sharding (1 = the
   /// classic serial path, 0 = hardware_concurrency). Any value produces
-  /// bitwise-identical runs: sampled devices train on per-worker model
-  /// replicas against their own RNG streams, and every floating-point
-  /// reduction (Eq. 5 edge aggregation, evaluation chunk folds) happens
-  /// serially in index order afterwards.
+  /// bitwise-identical runs: the sampled devices of a step's wave train in
+  /// one parallel section on per-worker model replicas against their own
+  /// RNG streams, and every floating-point reduction (Eq. 5 edge
+  /// aggregation, evaluation chunk folds) happens serially in index order
+  /// afterwards (DESIGN.md §8).
   runtime::ParallelConfig parallel;
   /// Crash-tolerant checkpointing (src/ckpt/). With `checkpoint.every` > 0
   /// the engine freezes its full run state — model parameters, every RNG
@@ -125,9 +126,10 @@ struct HflOptions {
   /// replay bitwise-identically at any thread count.
   fault::FaultSchedule faults;
   /// Deep profiling (src/obs/span_profiler.h). With `profile.trace_path` set
-  /// the engine records hierarchical spans (round → edge round → device
-  /// train → local SGD) into per-track ring buffers — two steady_clock reads
-  /// and zero allocations per span — merges them at step barriers and writes
+  /// the engine records hierarchical spans (round → edge sample stage,
+  /// device train → local SGD, edge reduce) into per-track ring buffers —
+  /// two steady_clock reads and zero allocations per span — merges them at
+  /// step barriers and writes
   /// a Chrome trace-event JSON (Perfetto-loadable) at run end. With
   /// `profile.status_path` set it additionally rewrites a status.json
   /// heartbeat (atomic rename) every `status_interval_seconds`. Profiling is
@@ -252,15 +254,83 @@ class HflSimulator {
   FederationInfo federation_info() const;
 
  private:
-  /// Per-sampled-device result slot for one edge round: the parallel path
-  /// trains into slots from workers, then the coordinator reduces them in
-  /// device-index order (the serial path fills the same slots in order, so
-  /// both paths share one reduction).
+  /// Per-sampled-device result slot of one wave: the train stage fills the
+  /// slots of arriving devices (from workers or serially), then edge_reduce
+  /// walks each edge's slots in device-index order.
   struct DeviceSlot {
     TrainingObservation observation;
     std::vector<float> params;  // trained parameters w_m^{t+1}
     double seconds = 0.0;       // wall time of this device's local updates
   };
+
+  /// One edge's round within the current wave, written by sample_edge() on
+  /// the coordinator and read by train_wave() and reduce_edge(). One plan
+  /// per edge, reused across steps (the buffers keep their capacity).
+  struct EdgePlan {
+    enum class State { Idle, Outage, Sampled };
+    State state = State::Idle;  // Idle: no devices in the edge this step
+    std::span<const std::uint32_t> devices;  // M_n^t
+    std::vector<double> probs;               // clamped q, parallel to devices
+    std::vector<std::uint32_t> sampled;      // realised Bernoulli draws
+    std::vector<fault::DeviceFaultDecision> fates;  // parallel to sampled
+    std::vector<float> downlink;  // decoded device-download payload (lossy)
+    /// The model the sampled devices train from: the edge model itself, or
+    /// `downlink` when the device-download link transcodes.
+    const std::vector<float>* device_view = nullptr;
+    std::size_t first_slot = 0;  // device_slots_ index of sampled[0]
+    double sampler_seconds = 0.0;
+  };
+
+  /// One arriving (edge, device) pair of the wave, in sampling order.
+  struct TrainTask {
+    std::uint32_t edge = 0;
+    std::uint32_t device = 0;
+    std::size_t slot = 0;  // device_slots_ index
+  };
+
+  /// Registry instruments of the current run(), cached once per run so the
+  /// stages pay one add per event. Fault and codec entries stay null unless
+  /// a fault schedule / a lossy link is active (their absence keeps the
+  /// registry snapshot identical to runs without those layers).
+  struct Instruments {
+    obs::Counter* trained = nullptr;
+    obs::Counter* floor_clamps = nullptr;
+    obs::Counter* edge_aggs = nullptr;
+    obs::Counter* empty_edges = nullptr;
+    obs::Histogram* q = nullptr;
+    obs::Counter* fault_drops = nullptr;
+    obs::Counter* fault_straggler_arrivals = nullptr;
+    obs::Counter* fault_straggler_timeouts = nullptr;
+    obs::Counter* fault_retries = nullptr;
+    obs::Counter* fault_outages = nullptr;
+    obs::Counter* fault_cloud_lost = nullptr;
+    obs::Counter* fault_updates_lost = nullptr;
+    obs::Counter* comm_encodes = nullptr;
+    obs::Counter* comm_decodes = nullptr;
+  };
+
+  /// Training loss and participants since the last evaluation.
+  struct EvalWindow {
+    double train_loss = 0.0;
+    std::size_t participants = 0;
+  };
+
+  /// Sample stage for edge `n` (coordinator): outage check, sampler
+  /// decision with any oracle probes, Bernoulli draws in device order,
+  /// downlink transcode, fault fates and ledger charges. Appends the edge's
+  /// arriving devices to train_tasks_ and their slots to the wave.
+  void sample_edge(std::size_t t, std::size_t n,
+                   std::span<const std::uint32_t> devices, Sampler& sampler);
+
+  /// Train stage: every queued (edge, device) pair of the wave in one
+  /// parallel section (serially with one thread, or one pair).
+  void train_wave(std::size_t t, double learning_rate);
+
+  /// Edge-reduce stage for edge `n` (coordinator): observer events, sampler
+  /// experience, uplink transcode and the Horvitz-Thompson fold (Eq. 5),
+  /// walking the edge's slots in device-index order.
+  void reduce_edge(std::size_t t, std::size_t n, Sampler& sampler,
+                   EvalWindow& window);
 
   /// One local-update phase for a device (Eq. 4) on the given scratch model
   /// (the shared serial model or a worker replica); returns its observation
@@ -287,17 +357,14 @@ class HflSimulator {
   /// is covered by the recorded trace offset), then encodes and writes via
   /// the checkpoint manager. `next_t` steps are complete.
   void save_checkpoint(Sampler& sampler, std::size_t steps, std::size_t next_t,
-                       std::size_t cloud_rounds, double window_train_loss,
-                       std::size_t window_participants,
+                       std::size_t cloud_rounds, const EvalWindow& window,
                        const MetricsRecorder& metrics);
 
   /// Applies a decoded snapshot payload; returns the step to resume at.
   /// Must run after Sampler::bind and instrument registration. Throws
   /// ckpt::CorruptPayload / std::runtime_error (see set_resume_payload).
   std::size_t restore_run_state(Sampler& sampler, std::size_t steps,
-                                std::size_t& cloud_rounds,
-                                double& window_train_loss,
-                                std::size_t& window_participants,
+                                std::size_t& cloud_rounds, EvalWindow& window,
                                 MetricsRecorder& metrics);
 
   double learning_rate_at(std::size_t t) const;
@@ -319,15 +386,19 @@ class HflSimulator {
   // Parallel execution runtime (null in serial mode, i.e. threads <= 1).
   std::unique_ptr<runtime::ThreadPool> pool_;
   std::unique_ptr<runtime::ModelReplicaPool> replicas_;
-  std::vector<std::uint32_t> sampled_;     // per-edge realised Bernoulli draws
-  std::vector<DeviceSlot> device_slots_;   // one per sampled device, reused
+  std::vector<EdgePlan> plans_;            // one per edge (see EdgePlan)
+  std::vector<TrainTask> train_tasks_;     // arriving pairs of the wave
+  std::vector<DeviceSlot> device_slots_;   // one per sampled pair, reused
+  std::size_t wave_slots_ = 0;             // slots claimed by the wave
+  std::vector<float> aggregate_;           // Eq. 5 accumulator
+  std::vector<double> oracle_norms_;       // MACH-P probe results
   std::vector<nn::StepStats> eval_slots_;  // one per evaluation chunk, reused
+  Instruments ins_;
 
   // Fault-injection runtime (inactive with an empty schedule). Fates are
   // decided on the coordinator before training dispatch, from per-event
   // hashed RNG streams — identical at any thread count.
   fault::FaultInjector injector_;
-  std::vector<fault::DeviceFaultDecision> fates_;  // parallel to sampled_
   std::vector<std::uint64_t> survivors_;           // device ids, per round
   std::vector<std::uint64_t> lost_;                // device ids, per round
 
@@ -353,13 +424,10 @@ class HflSimulator {
   /// The last cloud broadcast as the edges received it — the shared
   /// reference both ends of a delta-coded edge→cloud upload agree on.
   std::vector<float> last_broadcast_;
-  std::vector<float> downlink_model_;   // decoded device-download payload
   std::vector<float> probe_model_;      // decoded probe payload
   std::vector<float> decoded_upload_;   // decoded device/edge upload payload
   std::vector<float> broadcast_model_;  // decoded cloud broadcast payload
   comm::Encoded wire_;                  // reused encode buffer
-  obs::Counter* ctr_comm_encodes_ = nullptr;  // set per run when lossy
-  obs::Counter* ctr_comm_decodes_ = nullptr;
 
   obs::RunObserver* observer_ = nullptr;  // non-owning; see set_observer
   obs::PhaseTimerSet timers_;

@@ -56,6 +56,9 @@ class StatisticalSampler final : public hfl::Sampler {
   void bind(const hfl::FederationInfo& info) override;
   std::vector<double> edge_probabilities(const hfl::EdgeSamplingContext& ctx) override;
   void observe_training(const hfl::TrainingObservation& obs) override;
+  /// Unobserved devices inherit running_mean_, which every observation
+  /// moves — including those of earlier edges in the same step.
+  bool reads_same_step_experience() const override { return true; }
   void save_state(ckpt::ByteWriter& out) const override;
   void load_state(ckpt::ByteReader& in) override;
 

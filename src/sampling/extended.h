@@ -58,6 +58,9 @@ class OortSampler final : public hfl::Sampler {
   void bind(const hfl::FederationInfo& info) override;
   std::vector<double> edge_probabilities(const hfl::EdgeSamplingContext& ctx) override;
   void observe_training(const hfl::TrainingObservation& obs) override;
+  /// The clipping median runs over every observed device, so an edge's
+  /// decision reads the experience earlier edges gathered in the same step.
+  bool reads_same_step_experience() const override { return true; }
   void save_state(ckpt::ByteWriter& out) const override;
   void load_state(ckpt::ByteReader& in) override;
 

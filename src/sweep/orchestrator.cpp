@@ -469,7 +469,6 @@ SweepResult Supervisor::run() {
   SweepResult result;
   result.total = spec_.points.size();
   result.ran_here = ran_here_;
-  result.drained = draining_;
   for (const SweepPoint& point : spec_.points) {
     const auto it = journal_.states().find(point.fingerprint);
     if (it != journal_.states().end() && it->second.done) {
@@ -480,6 +479,9 @@ SweepResult Supervisor::run() {
       ++result.pending;
     }
   }
+  // A drain that lands after the last child exited leaves nothing to rerun:
+  // the sweep finished, so it reports (and publishes) as finished.
+  result.drained = draining_ && result.pending > 0;
 
   if (result.pending == 0) {
     const std::string report = render_report(spec_, journal_, runs_dir_);

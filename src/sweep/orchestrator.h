@@ -56,7 +56,7 @@ struct SweepResult {
   std::size_t ran_here = 0;     // completed by this invocation
   std::size_t quarantined = 0;  // given up, with failure history journaled
   std::size_t pending = 0;      // unresolved (nonzero only after a drain)
-  bool drained = false;
+  bool drained = false;          // a drain stopped the sweep with pending > 0
   std::string report_path;  // written only when every point is resolved
 };
 

@@ -6,6 +6,8 @@
 // fingerprint guard against resuming a foreign configuration.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -67,7 +69,10 @@ HflOptions options_for(const ExperimentConfig& config, std::size_t threads,
 }
 
 std::string csv_of(const MetricsRecorder& metrics, const std::string& tag) {
-  const std::string path = testing::TempDir() + tag + ".csv";
+  // Unique per process: ctest runs the resume tests as concurrent processes,
+  // and a shared scratch name races (write/read/remove on the same file).
+  const std::string path =
+      testing::TempDir() + tag + "_" + std::to_string(::getpid()) + ".csv";
   EXPECT_TRUE(metrics.write_csv(path));
   std::string content = slurp(path);
   std::remove(path.c_str());

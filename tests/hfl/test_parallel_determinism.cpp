@@ -2,7 +2,9 @@
 // thread count. Replays the fig3-style 2-edge/8-device scenario serially
 // and with 2 and 4 workers and asserts equal global parameters, metrics
 // CSVs, confusion matrices and JSONL trace event sequences (timing fields
-// stripped — wall-clock is the only thing allowed to differ).
+// stripped — wall-clock is the only thing allowed to differ), and equal
+// phase-timer scope counts (the phase breakdown times the same scopes at
+// every thread count).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -45,6 +47,7 @@ struct RunArtifacts {
   std::string csv;
   std::vector<std::string> trace;
   std::vector<std::size_t> confusion;
+  std::vector<std::uint64_t> phase_counts;  // scopes per obs::Phase
 };
 
 RunArtifacts run_with_threads(const ExperimentArtifacts& artifacts,
@@ -68,6 +71,10 @@ RunArtifacts run_with_threads(const ExperimentArtifacts& artifacts,
 
   RunArtifacts result;
   result.params = simulator.global_parameters();
+  for (std::size_t p = 0; p < obs::kNumPhases; ++p) {
+    result.phase_counts.push_back(
+        simulator.phase_timers()[static_cast<obs::Phase>(p)].count);
+  }
 
   const std::string csv_path =
       ::testing::TempDir() + "parallel_determinism_" + std::to_string(threads) +
@@ -96,6 +103,12 @@ TEST(ParallelDeterminism, ThreadCountDoesNotChangeTheRun) {
   ASSERT_FALSE(serial.params.empty());
   ASSERT_FALSE(serial.csv.empty());
   ASSERT_GE(serial.trace.size(), 4u);  // run_begin, steps, ..., run_end
+  // One device_training scope per train wave: MACH runs whole-step waves,
+  // so at most one per step (none in a step where nobody was sampled).
+  const std::uint64_t training_scopes =
+      serial.phase_counts[static_cast<std::size_t>(obs::Phase::DeviceTraining)];
+  EXPECT_GT(training_scopes, 0u);
+  EXPECT_LE(training_scopes, config.horizon);
 
   for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -104,6 +117,7 @@ TEST(ParallelDeterminism, ThreadCountDoesNotChangeTheRun) {
     EXPECT_EQ(parallel.params, serial.params);
     EXPECT_EQ(parallel.csv, serial.csv);
     EXPECT_EQ(parallel.confusion, serial.confusion);
+    EXPECT_EQ(parallel.phase_counts, serial.phase_counts);
     ASSERT_EQ(parallel.trace.size(), serial.trace.size());
     for (std::size_t i = 0; i < serial.trace.size(); ++i) {
       EXPECT_EQ(parallel.trace[i], serial.trace[i]) << "event " << i;

@@ -73,6 +73,9 @@ class BudgetCheckingSampler final : public Sampler {
   }
   void on_cloud_round(std::size_t t) override { inner_->on_cloud_round(t); }
   bool needs_oracle() const override { return inner_->needs_oracle(); }
+  bool reads_same_step_experience() const override {
+    return inner_->reads_same_step_experience();
+  }
   std::size_t checks() const noexcept { return checks_; }
 
  private:

@@ -21,6 +21,10 @@ struct GradCheckCase {
   std::vector<std::size_t> input_shape;
 };
 
+// Without this, gtest prints the case as raw object bytes, which include
+// heap and code addresses, so the listed test names change on every run.
+void PrintTo(const GradCheckCase& c, std::ostream* os) { *os << c.name; }
+
 class GradCheck : public ::testing::TestWithParam<GradCheckCase> {};
 
 double loss_of(Sequential& model, const tensor::Tensor& x,

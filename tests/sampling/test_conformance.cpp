@@ -7,20 +7,29 @@
 //      the inverse-propensity correction, under injected dropouts (the PR 4
 //      property, now a per-sampler obligation);
 //   3. full runs are bitwise identical at any --threads value;
-//   4. save_state/load_state round-trips resume the q stream bit-for-bit.
+//   4. save_state/load_state round-trips resume the q stream bit-for-bit;
+//   5. the declared reads_same_step_experience() is honest: a run in the
+//      sampler's declared wave order equals an edge-at-a-time run.
 //
 // A sampler added to the registry is automatically instantiated here; there
 // is no opt-out list to forget to update.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <cstdio>
 #include <numeric>
+#include <sstream>
 
 #include "ckpt/bytes.h"
+#include "comm/config.h"
 #include "core/registry.h"
 #include "fault/injector.h"
 #include "fault/schedule.h"
 #include "hfl/experiment.h"
+#include "hfl/trace_canon.h"
+#include "obs/jsonl_writer.h"
 #include "sampling/sampler_harness.h"
 
 namespace mach {
@@ -213,6 +222,132 @@ TEST_P(SamplerConformance, RunsBitwiseIdenticalAcrossThreadCounts) {
           << "participant drift at point " << i << " with threads run " << run;
     }
   }
+}
+
+/// Forwards every call to the wrapped sampler but overrides its wave shape:
+/// `edge_waves` true forces the edge-at-a-time order, false whole-step waves.
+class WaveShapeOverride final : public hfl::Sampler {
+ public:
+  WaveShapeOverride(hfl::SamplerPtr inner, bool edge_waves)
+      : inner_(std::move(inner)), edge_waves_(edge_waves) {}
+  std::string name() const override { return inner_->name(); }
+  void bind(const hfl::FederationInfo& info) override { inner_->bind(info); }
+  std::vector<double> edge_probabilities(
+      const hfl::EdgeSamplingContext& ctx) override {
+    return inner_->edge_probabilities(ctx);
+  }
+  void observe_training(const hfl::TrainingObservation& obs) override {
+    inner_->observe_training(obs);
+  }
+  void on_cloud_round(std::size_t t) override { inner_->on_cloud_round(t); }
+  bool needs_oracle() const override { return inner_->needs_oracle(); }
+  bool reads_same_step_experience() const override { return edge_waves_; }
+  void save_state(ckpt::ByteWriter& out) const override { inner_->save_state(out); }
+  void load_state(ckpt::ByteReader& in) override { inner_->load_state(in); }
+  bool introspect(obs::SamplerIntrospection& out) const override {
+    return inner_->introspect(out);
+  }
+
+ private:
+  hfl::SamplerPtr inner_;
+  bool edge_waves_;
+};
+
+struct WaveRun {
+  std::vector<float> params;
+  std::string csv;
+  std::vector<std::string> trace;
+};
+
+/// A 3-edge run at 2 worker threads; `faulted` adds dropouts, stragglers,
+/// an edge outage, cloud loss and lossy codecs on every link, so the fates,
+/// per-edge downlink buffers and transcodes are reordered too.
+WaveRun run_waves(hfl::Sampler& sampler, bool faulted) {
+  hfl::ExperimentConfig config =
+      hfl::ExperimentConfig::smoke(data::TaskKind::MnistLike);
+  config.num_devices = 12;
+  config.num_edges = 3;
+  config.train_per_device = 16;
+  config.test_examples = 60;
+  config.mlp_hidden = 8;
+  config.hfl.local_epochs = 2;
+  config.hfl.participation = 0.6;
+  config.hfl.cloud_interval = 2;
+  config.horizon = 6;
+  config.num_stations = 6;
+  config.num_hotspots = 2;
+  config = config.with_seed(77);
+  const hfl::ExperimentArtifacts artifacts = hfl::build_experiment(config);
+
+  hfl::HflOptions options = config.hfl;
+  options.seed = config.seed;
+  options.parallel.threads = 2;
+  if (faulted) {
+    options.faults = fault::FaultSchedule::parse(
+        "dropout:p=0.2;straggler:p=0.3,delay=1.5,timeout=1;"
+        "edge_outage:edge=1,from=2,to=3;cloud_loss:p=0.2;seed=5");
+    options.comm = comm::CommConfig::parse(
+        "up=topk:k=0.05,down=bf16,probe=int8,edge_up=int8,cloud_down=bf16");
+  }
+  hfl::HflSimulator simulator(artifacts.train, artifacts.test,
+                              artifacts.partition, artifacts.schedule,
+                              hfl::make_model_factory(config), options);
+  std::ostringstream trace_stream;
+  obs::JsonlTraceOptions trace_options;
+  trace_options.device_events = true;
+  WaveRun run;
+  {
+    obs::JsonlTraceWriter trace(trace_stream, trace_options);
+    simulator.set_observer(&trace);
+    const hfl::MetricsRecorder metrics = simulator.run(sampler, config.horizon);
+    simulator.set_observer(nullptr);
+    const std::string csv_path = ::testing::TempDir() + "wave_order_" +
+                                 sampler.name() + "_" +
+                                 std::to_string(::getpid()) + ".csv";
+    EXPECT_TRUE(metrics.write_csv(csv_path));
+    run.csv = test::slurp(csv_path);
+    std::remove(csv_path.c_str());
+  }
+  run.params = simulator.global_parameters();
+  run.trace = test::canonical_trace(trace_stream.str());
+  return run;
+}
+
+TEST_P(SamplerConformance, DeclaredWaveOrderMatchesEdgeAtATime) {
+  // A sampler that keeps the default reads_same_step_experience() == false
+  // has its whole step sampled before any of the step's observations arrive.
+  // That is only legal if no decision reads another edge's same-step
+  // experience; an edge-at-a-time run (the hook forced on) must then be
+  // bitwise identical. Samplers declaring true run edge-at-a-time already,
+  // and the comparison checks the decorator path itself.
+  for (const bool faulted : {false, true}) {
+    SCOPED_TRACE(faulted ? "faulted + lossy codecs" : "fault-free fp32");
+    auto declared = core::make_sampler(GetParam());
+    const WaveRun expected = run_waves(*declared, faulted);
+    WaveShapeOverride edge_at_a_time(core::make_sampler(GetParam()), true);
+    const WaveRun actual = run_waves(edge_at_a_time, faulted);
+    ASSERT_FALSE(expected.params.empty());
+    EXPECT_EQ(actual.params, expected.params);
+    EXPECT_EQ(actual.csv, expected.csv);
+    ASSERT_EQ(actual.trace.size(), expected.trace.size());
+    for (std::size_t i = 0; i < expected.trace.size(); ++i) {
+      EXPECT_EQ(actual.trace[i], expected.trace[i]) << "event " << i;
+    }
+  }
+}
+
+TEST(SamplerWaveOrder, StatisticalDiffersUnderWholeStepWaves) {
+  // Negative control for the test above: statistical's unobserved devices
+  // inherit a population mean that same-step observations move, so forcing
+  // whole-step waves must change its run. If this passes vacuously the
+  // equivalence test could not tell a wrong declaration either.
+  WaveShapeOverride edge_at_a_time(core::make_sampler("statistical"), true);
+  WaveShapeOverride whole_step(core::make_sampler("statistical"), false);
+  const WaveRun reference = run_waves(edge_at_a_time, false);
+  const WaveRun batched = run_waves(whole_step, false);
+  ASSERT_EQ(batched.params.size(), reference.params.size());
+  EXPECT_NE(batched.params, reference.params);
+  EXPECT_NE(batched.trace, reference.trace);
 }
 
 TEST_P(SamplerConformance, CheckpointRoundTripResumesBitForBit) {

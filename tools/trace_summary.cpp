@@ -241,7 +241,10 @@ int summarize_profile(const JsonValue& doc, const std::string& path,
 
   print_span_agg_table("slowest devices by training time", "device", by_device,
                        top_n);
-  print_span_agg_table("slowest edges by round time", "edge", by_edge, top_n);
+  // edge_round spans cover an edge's sample stage only; its devices train
+  // in the step's shared parallel section (DESIGN.md §8).
+  print_span_agg_table("slowest edges by sample-stage time", "edge", by_edge,
+                       top_n);
 
   if (counter_samples > 0) {
     std::cout << "resource counters: " << counter_samples
