@@ -8,7 +8,7 @@
 // runtime behaviour. Results are printed as a table and written as
 // BENCH_runtime.json for trend tracking.
 //
-//   ./throughput [--threads_list 1,2,4,0] [--steps 8] [--out BENCH_runtime.json]
+//   ./throughput [--threads_list 1,2,4,0] [--steps 40] [--out BENCH_runtime.json]
 #include "bench_util.h"
 
 #include <algorithm>
@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
                "threads; duplicates collapse)");
   cli.add_flag("devices", static_cast<std::int64_t>(24), "devices");
   cli.add_flag("edges", static_cast<std::int64_t>(3), "edges");
-  cli.add_flag("steps", static_cast<std::int64_t>(8), "time steps per run");
+  cli.add_flag("steps", static_cast<std::int64_t>(40), "time steps per run");
   cli.add_flag("local_epochs", static_cast<std::int64_t>(6), "I per device");
   cli.add_flag("batch", static_cast<std::int64_t>(24), "local batch size");
   cli.add_flag("hidden", static_cast<std::int64_t>(160), "MLP hidden width");

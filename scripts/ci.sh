@@ -23,6 +23,15 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 echo "== tier-1 tests =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
+echo "== benchmark harness build (perfbench/) =="
+# perfbench/ is a CMake package of its own that compiles src/ through
+# add_subdirectory, so a file removed from or renamed in src/ can break the
+# benchmark while the root build stays green. Build both of its programs.
+PERFBENCH_DIR="${PERFBENCH_DIR:-${BUILD_DIR}-perfbench}"
+cmake -B "$PERFBENCH_DIR" -S perfbench -DCMAKE_BUILD_TYPE=Release
+cmake --build "$PERFBENCH_DIR" -j "$JOBS" \
+  --target perfbench_harness perfbench_controls
+
 echo "== telemetry smoke =="
 "$BUILD_DIR/tools/trace_summary" --help > /dev/null
 trace="$(mktemp -t hfl_trace_XXXXXX.jsonl)"

@@ -4,8 +4,11 @@
 // is what caps the paper-scale simulator at ~1e4 devices. Here every
 // per-device quantity lives in a parallel contiguous array with a *fixed*
 // byte cost, so the total footprint is an arithmetic fact rather than an
-// allocator outcome: kBytesPerDevice x M plus O(edges) overhead. The scale
-// engine asserts this bound in its tests and the bench/scale RSS gate.
+// allocator outcome: bytes_per_device() x M plus O(edges) overhead. These
+// arrays hold only the engine's edge membership and weight bookkeeping; the
+// Eq. 15 experience state lives in the engine's UcbEstimator (29 bytes per
+// device). The scale engine asserts the combined bound in its tests and the
+// bench/scale RSS gate.
 #pragma once
 
 #include <cstddef>
@@ -17,13 +20,6 @@
 namespace mach::core {
 
 struct DeviceStateArrays {
-  // UCB-lite experience (Eq. 14/15), the running-(sum,count) form of
-  // UcbEstimator: identical folds, fixed footprint.
-  std::vector<double> buffer_sum;           // Σ ||g||² since last refresh
-  std::vector<std::uint32_t> buffer_count;  // observations since last refresh
-  std::vector<double> max_round_avg;        // max_t' Avg(G_m^{t'})
-  std::vector<std::uint8_t> flags;          // kHasEstimate
-  std::vector<std::uint32_t> participations;
   // Edge membership (dense reverse index into the per-edge member lists).
   std::vector<std::uint32_t> edge;
   std::vector<std::uint32_t> slot;
@@ -31,20 +27,12 @@ struct DeviceStateArrays {
   // lets weight updates adjust the edge's Eq. 16 denominator incrementally.
   std::vector<double> weight_basis;
 
-  static constexpr std::uint8_t kHasEstimate = 1;
+  /// Fixed bytes per device across these arrays: 4 + 4 + 8.
+  static constexpr std::size_t bytes_per_device() noexcept { return 16; }
 
-  /// Fixed bytes per device across these arrays:
-  /// 8 + 4 + 8 + 1 + 4 + 4 + 4 + 8.
-  static constexpr std::size_t bytes_per_device() noexcept { return 41; }
-
-  std::size_t size() const noexcept { return buffer_sum.size(); }
+  std::size_t size() const noexcept { return edge.size(); }
 
   void reset(std::size_t num_devices) {
-    buffer_sum.assign(num_devices, 0.0);
-    buffer_count.assign(num_devices, 0);
-    max_round_avg.assign(num_devices, 0.0);
-    flags.assign(num_devices, 0);
-    participations.assign(num_devices, 0);
     edge.assign(num_devices, 0);
     slot.assign(num_devices, 0);
     weight_basis.assign(num_devices, 0.0);
@@ -52,12 +40,7 @@ struct DeviceStateArrays {
 
   /// Actual bytes held (capacities, for the RSS accounting).
   std::size_t memory_bytes() const noexcept {
-    return buffer_sum.capacity() * sizeof(double) +
-           buffer_count.capacity() * sizeof(std::uint32_t) +
-           max_round_avg.capacity() * sizeof(double) +
-           flags.capacity() * sizeof(std::uint8_t) +
-           participations.capacity() * sizeof(std::uint32_t) +
-           edge.capacity() * sizeof(std::uint32_t) +
+    return edge.capacity() * sizeof(std::uint32_t) +
            slot.capacity() * sizeof(std::uint32_t) +
            weight_basis.capacity() * sizeof(double);
   }
@@ -65,11 +48,6 @@ struct DeviceStateArrays {
   void save(ckpt::ByteWriter& out) const {
     out.u64(size());
     for (std::size_t m = 0; m < size(); ++m) {
-      out.f64(buffer_sum[m]);
-      out.u32(buffer_count[m]);
-      out.f64(max_round_avg[m]);
-      out.u8(flags[m]);
-      out.u32(participations[m]);
       out.u32(edge[m]);
       out.u32(slot[m]);
       out.f64(weight_basis[m]);
@@ -81,11 +59,6 @@ struct DeviceStateArrays {
       throw ckpt::CorruptPayload("DeviceStateArrays: device count mismatch");
     }
     for (std::size_t m = 0; m < size(); ++m) {
-      buffer_sum[m] = in.f64();
-      buffer_count[m] = in.u32();
-      max_round_avg[m] = in.f64();
-      flags[m] = in.u8();
-      participations[m] = in.u32();
       edge[m] = in.u32();
       slot[m] = in.u32();
       weight_basis[m] = in.f64();

@@ -64,11 +64,12 @@ mobility::GridMobilityStream::Config grid_config(const ScaleConfig& config) {
 ScaleSimulator::ScaleSimulator(const ScaleConfig& config)
     : config_(validated(config)),
       transfer_(config_.transfer),
+      ucb_(config_.num_devices,
+           UcbOptions{.exploration_weight = config_.exploration_weight}),
       edges_(config_.num_edges),
       stream_(grid_config(config_)),
       draw_rng_(common::split_seed(config_.seed, 0xd4a3ULL)) {
   devices_.reset(config_.num_devices);
-  in_active_.assign(config_.num_devices, 0);
   const auto stations = stream_.stations();
   for (std::uint32_t m = 0; m < config_.num_devices; ++m) {
     insert_device(m, stations[m]);
@@ -87,20 +88,8 @@ double ScaleSimulator::synth_grad_sq(std::uint32_t device,
   return base * noise;
 }
 
-double ScaleSimulator::exploration(std::uint32_t device) const {
-  const double t = static_cast<double>(std::max<std::size_t>(last_cloud_t_, 2));
-  const double count =
-      static_cast<double>(std::max<std::uint32_t>(devices_.participations[device], 1));
-  return config_.exploration_weight * std::sqrt(std::log(t) / count);
-}
-
 double ScaleSimulator::estimate(std::uint32_t device) const {
-  // Eq. 15 with an optimistic prior: a never-sampled device is credited the
-  // best exploitation value seen anywhere, so exploration reaches it.
-  const double exploitation = (devices_.flags[device] & DeviceStateArrays::kHasEstimate)
-                                  ? devices_.max_round_avg[device]
-                                  : population_max_;
-  return exploitation + exploration(device);
+  return ucb_.estimate(device);
 }
 
 double ScaleSimulator::smoothed_weight(double g2_estimate,
@@ -178,26 +167,11 @@ void ScaleSimulator::rebuild_edge(std::size_t n) {
 }
 
 void ScaleSimulator::cloud_refresh() {
-  // Fold buffered experience in ascending device order — the order a
-  // resumed run reconstructs — so every float accumulation is reproducible.
-  std::sort(active_.begin(), active_.end());
   transfer_.advance_round();
-  for (const std::uint32_t device : active_) {
-    const double avg = devices_.buffer_sum[device] /
-                       static_cast<double>(devices_.buffer_count[device]);
-    if (!(devices_.flags[device] & DeviceStateArrays::kHasEstimate) ||
-        avg > devices_.max_round_avg[device]) {
-      devices_.max_round_avg[device] = avg;  // Eq. 15: max over round averages
-    }
-    devices_.flags[device] |= DeviceStateArrays::kHasEstimate;
-    devices_.buffer_sum[device] = 0.0;
-    devices_.buffer_count[device] = 0;
-    population_max_ = std::max(population_max_, devices_.max_round_avg[device]);
-    in_active_[device] = 0;
-  }
-  last_cloud_t_ = t_ + 1;
-  for (const std::uint32_t device : active_) refresh_weight(device);
-  active_.clear();
+  ucb_.on_cloud_round(t_ + 1, &folded_);
+  // Only folded devices changed beyond the shared log t term; the others'
+  // stored weights catch up at their edge's next rebuild.
+  for (const std::uint32_t device : folded_) refresh_weight(device);
 }
 
 ScaleRoundStats ScaleSimulator::step() {
@@ -264,13 +238,7 @@ ScaleRoundStats ScaleSimulator::step() {
     for (const std::uint32_t slot : sampled_) {
       const std::uint32_t device = e.members[slot];
       const double g2 = synth_grad_sq(device, t_);
-      devices_.buffer_sum[device] += g2;
-      devices_.buffer_count[device] += 1;
-      devices_.participations[device] += 1;
-      if (!in_active_[device]) {
-        in_active_[device] = 1;
-        active_.push_back(device);
-      }
+      ucb_.record(device, {&g2, 1});
       stats.sample_digest = fnv1a_u64(stats.sample_digest, n);
       stats.sample_digest = fnv1a_u64(stats.sample_digest, device);
       ++stats.participants;
@@ -291,11 +259,11 @@ ScaleRoundStats ScaleSimulator::step() {
 }
 
 std::size_t ScaleSimulator::memory_bytes() const noexcept {
-  std::size_t bytes = devices_.memory_bytes() + stream_.memory_bytes();
+  std::size_t bytes = ucb_.memory_bytes() + devices_.memory_bytes() +
+                      stream_.memory_bytes();
   for (const EdgeState& e : edges_) bytes += e.memory_bytes();
   bytes += edges_.capacity() * sizeof(EdgeState);
-  bytes += active_.capacity() * sizeof(std::uint32_t);
-  bytes += in_active_.capacity() * sizeof(std::uint8_t);
+  bytes += folded_.capacity() * sizeof(std::uint32_t);
   bytes += moved_.capacity() * sizeof(std::uint32_t);
   bytes += sampled_.capacity() * sizeof(std::uint32_t);
   bytes += scratch_.capacity() * sizeof(double);
@@ -304,7 +272,7 @@ std::size_t ScaleSimulator::memory_bytes() const noexcept {
 
 void ScaleSimulator::save_state(ckpt::ByteWriter& out) const {
   out.str("scale-sim");
-  out.u32(1);  // blob version
+  out.u32(2);  // blob version
   // Config fingerprint: a snapshot only resumes under the run it came from.
   out.u64(config_.num_devices);
   out.u64(config_.num_edges);
@@ -321,11 +289,10 @@ void ScaleSimulator::save_state(ckpt::ByteWriter& out) const {
   out.boolean(config_.use_alias_draws);
 
   out.u64(t_);
-  out.u64(last_cloud_t_);
-  out.f64(population_max_);
   out.u64(transfer_.rounds_seen());
   ckpt::write_rng(out, draw_rng_);
   stream_.save_cursor(out);
+  ucb_.save_state(out);
   devices_.save(out);
 
   out.u64(edges_.size());
@@ -346,7 +313,7 @@ void ScaleSimulator::load_state(ckpt::ByteReader& in) {
   if (in.str() != "scale-sim") {
     throw ckpt::CorruptPayload("ScaleSimulator: bad magic");
   }
-  if (in.u32() != 1) {
+  if (in.u32() != 2) {
     throw ckpt::CorruptPayload("ScaleSimulator: unsupported blob version");
   }
   const bool config_matches =
@@ -365,11 +332,10 @@ void ScaleSimulator::load_state(ckpt::ByteReader& in) {
   }
 
   t_ = in.u64();
-  last_cloud_t_ = in.u64();
-  population_max_ = in.f64();
   transfer_.set_rounds_seen(in.u64());
   ckpt::read_rng(in, draw_rng_);
   stream_.load_cursor(in);
+  ucb_.load_state(in);
   devices_.load(in);
 
   if (in.u64() != edges_.size()) {
@@ -415,16 +381,6 @@ void ScaleSimulator::load_state(ckpt::ByteReader& in) {
       if (devices_.edge[device] != n || devices_.slot[device] != slot) {
         throw ckpt::CorruptPayload("ScaleSimulator: reverse index mismatch");
       }
-    }
-  }
-  // active_ is recoverable: a device is pending-fold iff it has buffered
-  // observations. Ascending order matches the sorted fold in cloud_refresh.
-  active_.clear();
-  in_active_.assign(config_.num_devices, 0);
-  for (std::uint32_t m = 0; m < config_.num_devices; ++m) {
-    if (devices_.buffer_count[m] > 0) {
-      active_.push_back(m);
-      in_active_[m] = 1;
     }
   }
 }

@@ -8,7 +8,8 @@
 // well under a second inside a fixed memory envelope:
 //
 //   * device state is structure-of-arrays with a fixed per-device byte
-//     budget (DeviceStateArrays, kBytesPerDevice documented below);
+//     budget (DeviceStateArrays for edge membership and weights, the
+//     shared UcbEstimator for Eq. 15; bytes_per_device() documented below);
 //   * mobility is a GridMobilityStream — O(movers) per step, no
 //     materialised trace, 8-byte-per-device seekable cursor;
 //   * Eq. 16–18 sampling runs over per-edge Fenwick trees (incremental
@@ -16,8 +17,9 @@
 //     alias tables (O(1) batch draws, rebuilt when weights refresh).
 //
 // Fidelity contract. At scale the engine keeps the paper's *structure* —
-// UCB experience updating (Eq. 15, exact), transfer smoothing S(q̂)
-// (Eq. 17, exact), weighted sampling ∝ smoothed scores — but makes two
+// UCB experience updating (Eq. 15, exact: the same UcbEstimator the paper
+// samplers use), transfer smoothing S(q̂) (Eq. 17, exact: the shared
+// TransferFunction), weighted sampling ∝ smoothed scores — but makes two
 // documented approximations to reach sublinear rounds:
 //   1. Eq. 16's denominator Σ G~² is maintained incrementally and the
 //      stored weights are renormalised lazily: an edge's weights are fully
@@ -41,6 +43,7 @@
 #include "common/rng.h"
 #include "core/device_soa.h"
 #include "core/transfer.h"
+#include "core/ucb.h"
 #include "mobility/stream.h"
 #include "sampling/alias.h"
 #include "sampling/fenwick.h"
@@ -61,7 +64,8 @@ struct ScaleConfig {
   std::uint32_t max_dwell = 16;
   /// Eq. 17 smoothing.
   TransferOptions transfer;
-  /// Exploration weight of the Eq. 15 confidence radius.
+  /// Exploration weight of the Eq. 15 confidence radius
+  /// (UcbOptions::exploration_weight).
   double exploration_weight = 1.0;
   /// Rebuild an edge's stored weights when its incremental Σ G~² drifts
   /// this fraction from the denominator they were renormalised against.
@@ -99,18 +103,18 @@ class ScaleSimulator {
   /// Current G~² estimate of one device (Eq. 15; tests/introspection).
   double estimate(std::uint32_t device) const;
   std::size_t participations(std::uint32_t device) const {
-    return devices_.participations.at(device);
+    return ucb_.participations(device);
   }
   /// Members of one edge (tests; O(|M_n|)).
   const std::vector<std::uint32_t>& edge_members(std::size_t edge) const {
     return edges_.at(edge).members;
   }
 
-  /// Documented fixed per-device budget: DeviceStateArrays (41) + mobility
-  /// cursor (8) + edge member entry (4) + Fenwick tree+values (16) + alias
-  /// table prob+alias (12) + growth headroom. memory_bytes() must stay
-  /// below bytes_per_device() * M + O(num_edges) — asserted by the tests
-  /// and the bench/scale RSS gate.
+  /// Documented fixed per-device budget: DeviceStateArrays (16) +
+  /// UcbEstimator (29) + mobility cursor (8) + edge member entry (4) +
+  /// Fenwick tree+values (16) + alias table prob+alias (12) + growth
+  /// headroom. memory_bytes() must stay below bytes_per_device() * M +
+  /// O(num_edges) — asserted by the tests and the bench/scale RSS gate.
   static constexpr std::size_t bytes_per_device() noexcept { return 128; }
 
   /// Actual bytes held by all per-device and per-edge structures.
@@ -142,7 +146,6 @@ class ScaleSimulator {
   /// nothing to store or checkpoint.
   double synth_grad_sq(std::uint32_t device, std::size_t t) const;
 
-  double exploration(std::uint32_t device) const;
   /// Eq. 17 smoothing of the Eq. 16 virtual probability under the edge's
   /// current reference denominator.
   double smoothed_weight(double g2_estimate, const EdgeState& edge) const;
@@ -158,17 +161,14 @@ class ScaleSimulator {
 
   ScaleConfig config_;
   TransferFunction transfer_;
+  UcbEstimator ucb_;
   DeviceStateArrays devices_;
   std::vector<EdgeState> edges_;
   mobility::GridMobilityStream stream_;
   common::Rng draw_rng_;
-  // Devices with buffered experience since the last cloud refresh.
-  std::vector<std::uint32_t> active_;
-  std::vector<std::uint8_t> in_active_;  // membership flag for active_
-  double population_max_ = 0.0;
-  std::size_t last_cloud_t_ = 0;
   std::size_t t_ = 0;
   // Reused per-round scratch (no steady-state allocation).
+  std::vector<std::uint32_t> folded_;  // devices the last cloud round folded
   std::vector<std::uint32_t> moved_;
   std::vector<std::uint32_t> sampled_;
   std::vector<double> scratch_;  // weight staging for rebuilds/alias/load

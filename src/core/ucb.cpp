@@ -16,7 +16,7 @@ UcbEstimator::UcbEstimator(std::size_t num_devices, UcbOptions options)
       counts_(num_devices, 0) {}
 
 void UcbEstimator::record(std::uint32_t device,
-                          const std::vector<double>& grad_sq_norms) {
+                          std::span<const double> grad_sq_norms) {
   double& sum = buffer_sum_.at(device);
   // Left-to-right fold in arrival order: the same additions, in the same
   // order, the buffered representation performed at refresh time.
@@ -31,7 +31,8 @@ void UcbEstimator::record(std::uint32_t device,
   }
 }
 
-void UcbEstimator::on_cloud_round(std::size_t t) {
+void UcbEstimator::on_cloud_round(std::size_t t,
+                                  std::vector<std::uint32_t>* folded) {
   last_cloud_t_ = t;
   // Ascending device order — the same visit order as a full O(M) sweep over
   // the devices with non-empty buffers, so the fold is bitwise unchanged.
@@ -50,6 +51,7 @@ void UcbEstimator::on_cloud_round(std::size_t t) {
       flags_[m] &= static_cast<std::uint8_t>(~kInActiveList);
     }
   }
+  if (folded != nullptr) folded->assign(active_.begin(), active_.end());
   if (options_.clear_buffer_on_cloud_round) active_.clear();
 }
 
@@ -71,6 +73,15 @@ double UcbEstimator::exploration(std::uint32_t device) const {
 
 double UcbEstimator::estimate(std::uint32_t device) const {
   return exploitation(device) + exploration(device);
+}
+
+std::size_t UcbEstimator::memory_bytes() const noexcept {
+  return buffer_sum_.capacity() * sizeof(double) +
+         buffer_count_.capacity() * sizeof(std::uint32_t) +
+         max_round_avg_.capacity() * sizeof(double) +
+         flags_.capacity() * sizeof(std::uint8_t) +
+         counts_.capacity() * sizeof(std::uint32_t) +
+         active_.capacity() * sizeof(std::uint32_t);
 }
 
 void UcbEstimator::save_state(ckpt::ByteWriter& out) const {

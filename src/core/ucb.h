@@ -16,9 +16,14 @@
 // state shrinks from an unbounded vector per device to 29 bytes per device.
 // Cloud-round refreshes walk only the devices that actually buffered
 // experience since the last refresh (O(participants), not O(M)).
+//
+// This is the only implementation of Eq. 15: MachSampler and
+// GlobalMachSampler hold one per run, and the million-device ScaleSimulator
+// holds one for its whole population.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace mach::ckpt {
@@ -46,13 +51,16 @@ class UcbEstimator {
 
   /// Records one participation of `device`: the ||g||^2 values of its I
   /// local steps are folded into its experience accumulator (Eq. 14).
-  void record(std::uint32_t device, const std::vector<double>& grad_sq_norms);
+  void record(std::uint32_t device, std::span<const double> grad_sq_norms);
 
   /// Cloud-round bookkeeping: folds buffered experience into the per-round
   /// maxima and (by default) clears it. Only devices that buffered since the
   /// last refresh are visited. `t` is the current global time step used in
-  /// the log t exploration numerator.
-  void on_cloud_round(std::size_t t);
+  /// the log t exploration numerator. When `folded` is given it receives the
+  /// folded devices in ascending order — the devices whose estimate changed
+  /// beyond the shared log t term.
+  void on_cloud_round(std::size_t t,
+                      std::vector<std::uint32_t>* folded = nullptr);
 
   /// Current estimate G~^2_m (Eq. 15). Never-participated devices return an
   /// optimistic value so they keep being explored.
@@ -76,6 +84,9 @@ class UcbEstimator {
   /// Fixed per-device state: sum(8) + count(4) + max_avg(8) + flags(1) +
   /// participations(4) + active-list slot(4).
   static constexpr std::size_t bytes_per_device() noexcept { return 29; }
+
+  /// Actual bytes held (capacities, for RSS accounting).
+  std::size_t memory_bytes() const noexcept;
 
   /// Checkpointing: serialises all of Algorithm 2's accumulated state —
   /// experience accumulators, per-round maxima, participation counts, the

@@ -44,8 +44,11 @@ class Layer {
   /// layers ignore it.
   virtual void init_params(common::Rng& /*rng*/) {}
 
-  /// Toggles training-time behaviour (Dropout noise on/off). Most layers
-  /// behave identically in both modes and ignore this.
+  /// Toggles training-time behaviour. No built-in layer behaves differently
+  /// in the two modes; the hook stays because Sequential reports the mode
+  /// through it (training in forward_backward(), eval in evaluate()) and
+  /// decorating layers, such as the benchmark's per-layer probes, override
+  /// it to tell training passes from evaluation passes.
   virtual void set_training(bool /*training*/) {}
 
   /// The layer's scratch arena, if it owns one (Conv2D does). Exposed so the

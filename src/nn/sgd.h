@@ -30,18 +30,6 @@ class Sgd {
   double learning_rate() const noexcept { return options_.learning_rate; }
   void set_learning_rate(double lr) noexcept { options_.learning_rate = lr; }
 
-  /// Velocity buffers, one per parameter tensor in layer order (empty until
-  /// the first momentum step). Exposed for optimizer-state checkpointing.
-  const std::vector<std::vector<float>>& velocities() const noexcept {
-    return velocities_;
-  }
-  /// Checkpoint restore: replaces the velocity buffers. The shapes must
-  /// match the paired model's parameter tensors (unchecked here — step()
-  /// indexes by parameter order).
-  void set_velocities(std::vector<std::vector<float>> velocities) {
-    velocities_ = std::move(velocities);
-  }
-
  private:
   SgdOptions options_;
   std::vector<std::vector<float>> velocities_;

@@ -1,6 +1,6 @@
 // Elementwise, reduction and fused-optimiser kernels. Branch-free loops with
 // per-element expressions copied exactly from the naive implementations they
-// replace (ops.cpp, nn/sgd.cpp, nn/adam.cpp, hfl/simulator.cpp), so results
+// replace (ops.cpp, nn/sgd.cpp, hfl/simulator.cpp), so results
 // are bitwise identical. Compiled with -O3 -ffp-contract=off: the compiler
 // may vectorise the independent-lane loops freely, but must not fuse mul+add
 // into FMA (which would round differently from the scalar reference).
@@ -14,8 +14,6 @@
 // GCC 12 (see gemm_blocked.cpp). Wider-than-baseline vectors are available
 // via the opt-in MACH_NATIVE_ARCH CMake option.
 #include "tensor/kernels/kernels.h"
-
-#include <cmath>
 
 namespace mach::tensor::kernels {
 
@@ -106,20 +104,6 @@ void sgd_momentum_step(std::size_t n, float lr, float momentum,
     const float g = grad[j] + weight_decay * value[j];
     velocity[j] = momentum * velocity[j] + g;
     value[j] -= lr * velocity[j];
-  }
-}
-
-void adam_step(std::size_t n, double lr, double beta1, double beta2,
-               double correction1, double correction2, double epsilon,
-               float weight_decay, const float* grad, float* moment1,
-               float* moment2, float* value) {
-  for (std::size_t j = 0; j < n; ++j) {
-    const float g = grad[j] + weight_decay * value[j];
-    moment1[j] = static_cast<float>(beta1 * moment1[j] + (1.0 - beta1) * g);
-    moment2[j] = static_cast<float>(beta2 * moment2[j] + (1.0 - beta2) * g * g);
-    const double m_hat = moment1[j] / correction1;
-    const double v_hat = moment2[j] / correction2;
-    value[j] -= static_cast<float>(lr * m_hat / (std::sqrt(v_hat) + epsilon));
   }
 }
 

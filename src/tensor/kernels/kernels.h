@@ -130,17 +130,13 @@ double squared_norm(std::size_t n, const float* x);
 
 // ---------------------------------------------------------------------------
 // Fused optimiser update steps (per-element math identical to the loops
-// they replaced in nn::Sgd / nn::Adam).
+// they replaced in nn::Sgd).
 // ---------------------------------------------------------------------------
 void sgd_step(std::size_t n, float lr, float weight_decay, const float* grad,
               float* value);
 void sgd_momentum_step(std::size_t n, float lr, float momentum,
                        float weight_decay, const float* grad, float* velocity,
                        float* value);
-void adam_step(std::size_t n, double lr, double beta1, double beta2,
-               double correction1, double correction2, double epsilon,
-               float weight_decay, const float* grad, float* moment1,
-               float* moment2, float* value);
 
 // ---------------------------------------------------------------------------
 // Retained reference kernels — the seed implementation, kept verbatim as the

@@ -3,6 +3,7 @@
 // and the byte ledger matches the message counters times the encoded payload
 // size exactly — including straggler retransmissions under fault injection.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -78,8 +79,11 @@ RunArtifacts run_with(const ExperimentArtifacts& artifacts,
   RunArtifacts result;
   result.params = simulator.global_parameters();
   result.cost = simulator.last_run_cost();
+  // Unique per process: ctest runs these tests as concurrent processes, and
+  // a shared scratch name races (write/read/remove on the same file).
   const std::string csv_path = ::testing::TempDir() + "comm_run_" +
-                               std::to_string(threads) + ".csv";
+                               std::to_string(threads) + "_" +
+                               std::to_string(::getpid()) + ".csv";
   EXPECT_TRUE(metrics.write_csv(csv_path));
   result.csv = slurp(csv_path);
   std::remove(csv_path.c_str());

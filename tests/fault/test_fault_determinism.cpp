@@ -6,6 +6,7 @@
 //   2. with an all-zero schedule, every artifact is bitwise identical to a
 //      run that never touched the fault layer at all.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <sstream>
@@ -75,8 +76,11 @@ RunArtifacts run_with(const ExperimentArtifacts& artifacts,
 
   RunArtifacts result;
   result.params = simulator.global_parameters();
+  // Unique per process: ctest runs these tests as concurrent processes, and
+  // a shared scratch name races (write/read/remove on the same file).
   const std::string csv_path = ::testing::TempDir() + "fault_determinism_" +
-                               std::to_string(threads) + ".csv";
+                               std::to_string(threads) + "_" +
+                               std::to_string(::getpid()) + ".csv";
   EXPECT_TRUE(metrics.write_csv(csv_path));
   result.csv = slurp(csv_path);
   std::remove(csv_path.c_str());

@@ -6,6 +6,7 @@
 // phase-timer scope counts (the phase breakdown times the same scopes at
 // every thread count).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <sstream>
@@ -76,9 +77,11 @@ RunArtifacts run_with_threads(const ExperimentArtifacts& artifacts,
         simulator.phase_timers()[static_cast<obs::Phase>(p)].count);
   }
 
-  const std::string csv_path =
-      ::testing::TempDir() + "parallel_determinism_" + std::to_string(threads) +
-      ".csv";
+  // Unique per process: ctest runs these tests as concurrent processes, and
+  // a shared scratch name races (write/read/remove on the same file).
+  const std::string csv_path = ::testing::TempDir() + "parallel_determinism_" +
+                               std::to_string(threads) + "_" +
+                               std::to_string(::getpid()) + ".csv";
   EXPECT_TRUE(metrics.write_csv(csv_path));
   result.csv = slurp(csv_path);
   std::remove(csv_path.c_str());

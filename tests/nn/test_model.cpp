@@ -2,6 +2,9 @@
 
 #include <cmath>
 #include <memory>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "nn/activations.h"
 #include "nn/dense.h"
@@ -86,6 +89,56 @@ TEST(Sequential, StepStatsConsistent) {
   double manual = 0.0;
   for (float g : m.get_gradients()) manual += static_cast<double>(g) * g;
   EXPECT_NEAR(stats.grad_squared_norm, manual, 1e-9);
+}
+
+/// Identity layer that records the mode Sequential last set on it and the
+/// mode in force during its most recent forward pass.
+class ModeRecorder final : public Layer {
+ public:
+  const tensor::Tensor& forward(const tensor::Tensor& input) override {
+    forward_mode = training;
+    return input;
+  }
+  const tensor::Tensor& backward(const tensor::Tensor& grad_output) override {
+    return grad_output;
+  }
+  void set_training(bool mode) override { training = mode; }
+  std::string name() const override { return "ModeRecorder"; }
+
+  std::optional<bool> training;
+  std::optional<bool> forward_mode;
+};
+
+// Layers that wrap others (the benchmark's per-layer probes) tell training
+// passes from evaluation passes only through this hook.
+TEST(Sequential, ReportsTrainingModeToEveryLayer) {
+  auto first = std::make_unique<ModeRecorder>();
+  auto last = std::make_unique<ModeRecorder>();
+  const std::vector<ModeRecorder*> recorders = {first.get(), last.get()};
+  Sequential m;
+  m.add(std::move(first))
+      .add(std::make_unique<Dense>(4, 2))
+      .add(std::move(last));
+  common::Rng rng(3);
+  m.init_params(rng);
+  tensor::Tensor x({3, 4});
+  for (auto& v : x.flat()) v = 0.5f;
+  const std::vector<int> labels = {0, 1, 0};
+
+  m.forward_backward(x, labels);
+  for (const ModeRecorder* r : recorders) {
+    EXPECT_EQ(r->training, std::optional<bool>(true));
+    EXPECT_EQ(r->forward_mode, std::optional<bool>(true));
+  }
+  m.evaluate(x, labels);
+  for (const ModeRecorder* r : recorders) {
+    EXPECT_EQ(r->training, std::optional<bool>(false));
+    EXPECT_EQ(r->forward_mode, std::optional<bool>(false));
+  }
+  m.forward_backward(x, labels);
+  for (const ModeRecorder* r : recorders) {
+    EXPECT_EQ(r->forward_mode, std::optional<bool>(true));
+  }
 }
 
 TEST(Sgd, SingleStepMatchesManualUpdate) {
